@@ -1,7 +1,8 @@
 //! Component micro-benchmark: where do the ~125 ns/ref go?
 //!
 //! Times, in isolation and with best-of-N repeats to beat machine noise:
-//!   1. stream generation only (`fill_batch` through the vtable),
+//!   1. stream generation only (`next_record` through the vtable, as
+//!      the simulator's run loop calls it),
 //!   2. an L1-shaped `SetAssoc` lookup/insert loop over a real line trace,
 //!   3. a `CoreModel` advance/reserve/issue loop,
 //!   4. the full `run_one` for reference.
@@ -12,7 +13,7 @@ use std::time::Instant;
 
 use pipm_cache::SetAssoc;
 use pipm_core::run_one;
-use pipm_cpu::{AccessStream, CoreModel, TraceRecord};
+use pipm_cpu::{AccessStream, CoreModel};
 use pipm_types::{AccessClass, CoreConfig, LineAddr, SchemeKind, SystemConfig};
 use pipm_workloads::{Workload, WorkloadParams};
 
@@ -33,18 +34,11 @@ fn main() {
     let mut chk = 0u64;
     for _ in 0..REPEATS {
         let mut streams = Workload::Bfs.streams(&mut cfg, &params);
-        let mut buf: Vec<TraceRecord> = Vec::new();
         let t0 = Instant::now();
         let mut c = 0u64;
         for s in &mut streams {
-            loop {
-                let n = s.fill_batch(&mut buf, 64);
-                if n == 0 {
-                    break;
-                }
-                for r in &buf {
-                    c = c.wrapping_add(r.addr.raw());
-                }
+            while let Some(r) = s.next_record() {
+                c = c.wrapping_add(r.addr.raw());
             }
         }
         let ns = t0.elapsed().as_nanos() as f64;

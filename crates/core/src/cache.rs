@@ -129,10 +129,6 @@ pub struct RunCacheStats {
     pub preloads: u64,
 }
 
-/// A callback observing freshly computed cache entries — see
-/// [`RunCache::set_fill_hook`].
-pub type FillHook<V> = Box<dyn Fn(&str, &V) + Send + Sync>;
-
 /// A thread-safe, capacity-bounded, in-flight-deduplicating cache of
 /// computed run results, keyed by canonical [`job_key`] strings.
 ///
@@ -148,19 +144,12 @@ pub type FillHook<V> = Box<dyn Fn(&str, &V) + Send + Sync>;
 ///   counts so consumers (the figure harness `[timing]` table, the
 ///   serve daemon's `metrics` response) can report cache behaviour
 ///   instead of asserting it.
-/// * **Peer-fill hook** — [`RunCache::set_fill_hook`] registers a
-///   callback invoked for every *freshly computed* entry (never for
-///   [`insert`](RunCache::insert) preloads), which is how a sharded
-///   `pipm-serve` node announces results to its peers without the peers
-///   re-announcing what they were just handed.
 pub struct RunCache<V> {
     inner: Mutex<Inner<V>>,
     /// Signalled whenever an in-flight computation completes or is
     /// abandoned.
     done_cv: Condvar,
     capacity: usize,
-    /// Observer of fresh computations (peer cache-fill forwarding).
-    fill_hook: Mutex<Option<FillHook<V>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     inflight_waits: AtomicU64,
@@ -182,7 +171,6 @@ impl<V: Clone> RunCache<V> {
             }),
             done_cv: Condvar::new(),
             capacity: capacity.max(1),
-            fill_hook: Mutex::new(None),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             inflight_waits: AtomicU64::new(0),
@@ -223,26 +211,10 @@ impl<V: Clone> RunCache<V> {
         }
     }
 
-    /// Registers the peer-fill hook: `hook(key, value)` runs on the
-    /// computing thread for every value produced through
-    /// [`get_or_compute`](RunCache::get_or_compute), after the value has
-    /// been stored and waiters released. Values handed over via
-    /// [`insert`](RunCache::insert) (e.g. fills received *from* a peer)
-    /// never fire the hook, so two nodes filling each other cannot
-    /// gossip a result back and forth forever. At most one hook is
-    /// registered; setting a new one replaces the old.
-    ///
-    /// The hook must not call back into `set_fill_hook` (it would
-    /// self-deadlock) and should be cheap — typically it enqueues the
-    /// entry for a background forwarder thread.
-    pub fn set_fill_hook(&self, hook: impl Fn(&str, &V) + Send + Sync + 'static) {
-        *self.fill_hook.lock().expect("fill hook poisoned") = Some(Box::new(hook));
-    }
-
     /// Returns the finished value for `key` without ever blocking or
     /// computing: a hit counts in [`RunCacheStats::hits`] and refreshes
     /// the entry's LRU recency; an absent or in-flight key returns
-    /// `None` and moves no counter. Never fires the fill hook.
+    /// `None` and moves no counter.
     pub fn get(&self, key: &str) -> Option<V> {
         self.get_all(&[key]).and_then(|mut values| values.pop())
     }
@@ -325,9 +297,6 @@ impl<V: Clone> RunCache<V> {
         self.store(key, value.clone());
         guard.fulfilled = true;
         drop(guard); // notifies waiters
-        if let Some(hook) = self.fill_hook.lock().expect("fill hook poisoned").as_ref() {
-            hook(key, &value);
-        }
         value
     }
 
@@ -536,20 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn get_never_fires_the_fill_hook() {
-        let c: RunCache<u32> = RunCache::new(4);
-        let fired = std::sync::Arc::new(AtomicUsize::new(0));
-        let sink = std::sync::Arc::clone(&fired);
-        c.set_fill_hook(move |_, _| {
-            sink.fetch_add(1, Ordering::Relaxed);
-        });
-        c.insert("a", 1);
-        assert_eq!(c.get("a"), Some(1));
-        assert_eq!(c.get("missing"), None);
-        assert_eq!(fired.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
     fn get_all_is_all_or_nothing() {
         let c: RunCache<u32> = RunCache::new(4);
         c.insert("a", 1);
@@ -640,49 +595,6 @@ mod tests {
             "the waiter must receive the producer's value, never recompute"
         );
         assert!(c.stats().evictions >= 199, "churn must actually evict");
-    }
-
-    #[test]
-    fn fill_hook_fires_on_fresh_computes_only() {
-        let c: RunCache<u32> = RunCache::new(8);
-        let announced = std::sync::Mutex::new(Vec::<(String, u32)>::new());
-        let announced = std::sync::Arc::new(announced);
-        let sink = std::sync::Arc::clone(&announced);
-        c.set_fill_hook(move |k, v| sink.lock().unwrap().push((k.to_string(), *v)));
-
-        c.get_or_compute("a", || 1); // fresh compute: announced
-        c.get_or_compute("a", || unreachable!()); // hit: silent
-        c.insert("b", 2); // peer fill received: silent (no gossip loop)
-        assert_eq!(c.get_or_compute("b", || unreachable!()), 2);
-        c.get_or_compute("c", || 3); // fresh compute: announced
-
-        let log = announced.lock().unwrap();
-        assert_eq!(*log, vec![("a".to_string(), 1), ("c".to_string(), 3)]);
-    }
-
-    #[test]
-    fn fill_hook_fires_once_under_concurrent_identical_requests() {
-        let c: std::sync::Arc<RunCache<u64>> = std::sync::Arc::new(RunCache::new(8));
-        let fired = std::sync::Arc::new(AtomicUsize::new(0));
-        let sink = std::sync::Arc::clone(&fired);
-        c.set_fill_hook(move |_, _| {
-            sink.fetch_add(1, Ordering::Relaxed);
-        });
-        std::thread::scope(|scope| {
-            for _ in 0..6 {
-                scope.spawn(|| {
-                    c.get_or_compute("shared", || {
-                        std::thread::sleep(std::time::Duration::from_millis(20));
-                        9
-                    })
-                });
-            }
-        });
-        assert_eq!(
-            fired.load(Ordering::Relaxed),
-            1,
-            "waiters handed the computed value must not re-announce it"
-        );
     }
 
     #[test]

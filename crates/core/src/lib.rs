@@ -48,9 +48,7 @@ pub mod remap;
 mod runner;
 mod system;
 
-pub use cache::{
-    checkpoint_key, fingerprint64, job_fingerprint, job_key, FillHook, RunCache, RunCacheStats,
-};
+pub use cache::{checkpoint_key, fingerprint64, job_fingerprint, job_key, RunCache, RunCacheStats};
 pub use harm::HarmTracker;
 pub use hints::MigrationHints;
 pub use oracle::OracleViolation;

@@ -148,34 +148,6 @@ pub struct System {
     invariant_epochs: u64,
     /// Invariant failures recorded in harness mode (capped).
     invariant_failures: Vec<String>,
-    /// References staged per core per batch in the run loop (see
-    /// [`BatchScratch`]); any value produces bit-identical statistics.
-    batch_size: usize,
-}
-
-/// Default number of references each core stages per batch refill
-/// (`PIPM_BATCH` env override). 64 amortizes the per-batch virtual stream
-/// dispatch and argmin rescan while keeping the staged buffers L1-resident.
-const DEFAULT_BATCH_SIZE: usize = 64;
-
-/// Parses `PIPM_BATCH` once per process; an unparsable or zero value warns
-/// once and falls back to the default (same contract as `PIPM_WORKERS` in
-/// `pipm-bench`).
-fn env_batch_size() -> usize {
-    static PARSED: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *PARSED.get_or_init(|| match std::env::var("PIPM_BATCH") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!(
-                    "warning: ignoring unparsable PIPM_BATCH={v:?} \
-                     (want a positive integer); using {DEFAULT_BATCH_SIZE}"
-                );
-                DEFAULT_BATCH_SIZE
-            }
-        },
-        Err(_) => DEFAULT_BATCH_SIZE,
-    })
 }
 
 /// Whether inline invariant sweeps are compiled in: always in debug
@@ -312,18 +284,9 @@ impl System {
             oracle: None,
             invariant_epochs: 0,
             invariant_failures: Vec::new(),
-            batch_size: env_batch_size(),
             kind: scheme,
             cfg,
         }
-    }
-
-    /// Overrides the per-core batch size (default 64, or `PIPM_BATCH`).
-    /// Statistics are bit-identical at every size — size 1 degenerates to
-    /// the scalar one-reference loop; this setter exists so tests can
-    /// prove that.
-    pub fn set_batch_size(&mut self, n: usize) {
-        self.batch_size = n.max(1);
     }
 
     /// Enables harness mode: a functional reference oracle shadows every
@@ -794,9 +757,6 @@ impl System {
             .sum();
         self.warmup_refs = (self.cfg.warmup_fraction * requested.min(deliverable) as f64) as u64;
         RunState {
-            scratch: (0..self.cores.len())
-                .map(|_| BatchScratch::new(self.batch_size))
-                .collect(),
             streams,
             clocks: vec![0; self.cores.len()],
             live: self.cores.len(),
@@ -806,9 +766,7 @@ impl System {
     /// Advances the simulation until every stream is exhausted or
     /// `stop_after` total references have been processed, whichever comes
     /// first. Stopping early leaves every structure quiescent (between
-    /// references), so the run can be checkpointed and resumed — including
-    /// mid-batch: staged-but-unprocessed references live in [`RunState`]
-    /// and are captured by the checkpoint.
+    /// references), so the run can be checkpointed and resumed.
     fn drive(&mut self, rs: &mut RunState, stop_after: u64) {
         // Deterministic global-order advance on (clock, core): always step
         // the core with the lowest clock, ties to the lowest index. A
@@ -817,19 +775,18 @@ impl System {
         // allocation-free, and the visit order is identical because
         // `(clock, core)` is a strict total order either way.
         //
-        // Batching: the scan also records the runner-up `(next_best,
-        // nb_i)` — the minimum clock among the *other* cores, lowest index
-        // on ties. After stepping the chosen core, no other core's clock
-        // entry moves, so the chosen core remains the argmin exactly while
-        // `clock < next_best`, or `clock == next_best` with the lower
-        // index. The inner loop steps the same core through its staged
-        // batch under that condition without rescanning — the visit order
-        // is provably identical to rescanning every reference.
+        // Runs of the argmin: the scan also records the runner-up
+        // `(next_best, nb_i)` — the minimum clock among the *other* cores,
+        // lowest index on ties. After stepping the chosen core, no other
+        // core's clock entry moves, so the chosen core remains the argmin
+        // exactly while `clock < next_best`, or `clock == next_best` with
+        // the lower index. The inner loop keeps stepping the same core
+        // under that condition without rescanning — the visit order is
+        // provably identical to rescanning every reference.
         let RunState {
             streams,
             clocks,
             live,
-            scratch,
         } = rs;
         while *live > 0 && self.processed < stop_after {
             let mut ci = 0usize;
@@ -848,18 +805,14 @@ impl System {
                 }
             }
             loop {
-                let b = &mut scratch[ci];
-                if b.pos == b.recs.len() && b.refill(streams[ci].as_mut()) == 0 {
+                let Some(rec) = streams[ci].next_record() else {
                     let stats = &mut self.stats.cores[ci];
                     self.cores[ci].drain(&mut |class, cycles| stats.record_stall(class, cycles));
                     clocks[ci] = Cycle::MAX;
                     *live -= 1;
                     break;
-                }
-                let rec = b.recs[b.pos];
-                let line = b.lines[b.pos];
-                b.pos += 1;
-                self.step_core(ci, rec, line);
+                };
+                self.step_core(ci, rec, rec.addr.line());
                 let c = self.cores[ci].clock();
                 clocks[ci] = c;
                 if self.processed >= stop_after {
@@ -905,7 +858,7 @@ impl System {
     }
 
     /// Drives one reference through the core and memory system. `line` is
-    /// the precomputed line address from the batch decode pass.
+    /// `rec.addr.line()`, decoded once by the caller.
     ///
     /// The dominant case — no kernel interval due, no warm-up boundary, no
     /// invariant epoch, no oracle, and an L1 hit — runs a fused inline
@@ -984,10 +937,9 @@ impl System {
         stats.transfer_stall += queued;
     }
 
-    /// The general scalar path: epoch/warm-up/interval bookkeeping plus
-    /// the full memory-system dispatch. Batch size 1 runs this for every
-    /// reference whose guards fire; the fused path above is a pure
-    /// specialization of it.
+    /// The general path: epoch/warm-up/interval bookkeeping plus the full
+    /// memory-system dispatch, for every reference whose guards fire; the
+    /// fused path above is a pure specialization of it.
     fn step_core_slow(&mut self, ci: usize, rec: TraceRecord) {
         self.maybe_interval(self.cores[ci].clock());
         self.maybe_warmup();
@@ -2280,54 +2232,12 @@ impl System {
     }
 }
 
-/// Struct-of-arrays scratch for one core's in-flight reference batch.
-///
-/// A refill stages up to `batch_size` records from the core's stream into
-/// `recs` and runs the address-decode pass into `lines` (one tight loop
-/// per batch); `pos` marks the next unprocessed record. The buffers are
-/// part of [`RunState`], so a checkpoint taken mid-batch captures the
-/// staged-but-unprocessed references — the stream itself has already
-/// advanced past them, and a fork replays them from the cloned buffer
-/// before touching the forked stream.
-#[derive(Clone)]
-struct BatchScratch {
-    recs: Vec<TraceRecord>,
-    lines: Vec<LineAddr>,
-    pos: usize,
-    batch_size: usize,
-}
-
-impl BatchScratch {
-    fn new(batch_size: usize) -> Self {
-        BatchScratch {
-            recs: Vec::new(),
-            lines: Vec::new(),
-            pos: 0,
-            batch_size,
-        }
-    }
-
-    /// Refills from `stream` and runs the decode pass, returning the
-    /// number of staged records (0 = stream exhausted).
-    fn refill(&mut self, stream: &mut dyn AccessStream) -> usize {
-        let n = stream.fill_batch(&mut self.recs, self.batch_size);
-        self.pos = 0;
-        // Address-decode pass: the per-reference step reads a precomputed
-        // line address instead of re-deriving it.
-        self.lines.clear();
-        self.lines.extend(self.recs.iter().map(|r| r.addr.line()));
-        n
-    }
-}
-
 /// Run-loop state threaded through [`System::drive`]: the per-core access
-/// streams, the dense clock snapshot the argmin scan operates on, and each
-/// core's staged reference batch.
+/// streams and the dense clock snapshot the argmin scan operates on.
 struct RunState {
     streams: Vec<Box<dyn AccessStream>>,
     clocks: Vec<Cycle>,
     live: usize,
-    scratch: Vec<BatchScratch>,
 }
 
 impl RunState {
@@ -2343,7 +2253,6 @@ impl RunState {
                 .collect(),
             clocks: self.clocks.clone(),
             live: self.live,
-            scratch: self.scratch.clone(),
         }
     }
 }

@@ -90,11 +90,8 @@ pub trait AccessStream: Send {
 
     /// Produces up to `max` records into `out` (cleared first), returning
     /// how many were written. Fewer than `max` records means the stream is
-    /// exhausted. The batched simulation loop pays one virtual dispatch per
-    /// batch instead of per record; implementations hoist per-record setup
-    /// (generator parameters, RNG dispatch, bounds checks) out of the fill
-    /// loop. The default degenerates to repeated [`Self::next_record`], so
-    /// batch size 1 is exactly the scalar path.
+    /// exhausted. Repeated [`Self::next_record`]; a convenience for
+    /// callers that drain a stream into a buffer.
     fn fill_batch(&mut self, out: &mut Vec<TraceRecord>, max: usize) -> usize {
         out.clear();
         for _ in 0..max {
@@ -111,22 +108,6 @@ impl<I: Iterator<Item = TraceRecord> + Clone + Send + 'static> AccessStream for 
     #[inline]
     fn next_record(&mut self) -> Option<TraceRecord> {
         self.next()
-    }
-
-    /// Monomorphized fill loop: `I::next` inlines into the batch fill, so
-    /// generator state (RNG words, stream parameters) stays in registers
-    /// across the whole batch instead of being reloaded per record through
-    /// the `dyn AccessStream` boundary.
-    fn fill_batch(&mut self, out: &mut Vec<TraceRecord>, max: usize) -> usize {
-        out.clear();
-        out.reserve(max);
-        for _ in 0..max {
-            match self.next() {
-                Some(r) => out.push(r),
-                None => break,
-            }
-        }
-        out.len()
     }
 
     fn fork(&self) -> Option<Box<dyn AccessStream>> {

@@ -1,23 +1,19 @@
-//! CXL fabric model: per-host links to the CXL memory node.
+//! CXL fabric model: the links between hosts and CXL memory devices.
 //!
-//! Each host connects to the memory node through a full-duplex link with a
-//! one-way propagation latency (Table 2: 50 ns) and a per-direction
-//! bandwidth (Table 2: 5 GB/s in the ×16 scaled-down setting). Messages
-//! serialize on each direction: a message arriving while the direction is
-//! busy queues behind earlier traffic (busy-until model).
+//! Every edge is a full-duplex link with a one-way propagation latency
+//! (Table 2: 50 ns) and a per-direction bandwidth (Table 2: 5 GB/s in the
+//! ×16 scaled-down setting). Messages serialize on each direction: a
+//! message arriving while the direction is busy queues behind earlier
+//! traffic (busy-until model).
 //!
-//! The fabric distinguishes demand traffic from migration payload traffic
+//! The links distinguish demand traffic from migration payload traffic
 //! so the simulator can attribute queueing delay caused by page transfers —
 //! the "page transfer overhead" component of the paper's Figure 4.
 //!
-//! Host-to-host messages (inter-host accesses, M-state forwarding) are
-//! routed through the CXL memory node's root complex: up one host's link,
-//! down the other's, as in Figure 3 of the paper.
-//!
-//! Rack-scale graphs — multiple multi-headed devices behind switches —
-//! are described by a `pipm_types::TopologySpec` and executed by
-//! [`Topology`], which composes these links into per-device planes,
-//! shared uplinks, and switch ports (see [`topology`]).
+//! The graph — one or more multi-headed devices, optionally behind
+//! switches — is described by a `pipm_types::TopologySpec` and executed by
+//! [`Topology`], which composes the links into per-device planes, shared
+//! uplinks, and switch ports (see [`topology`]).
 //!
 //! # Example
 //!
@@ -44,7 +40,7 @@ pub use topology::{Topology, TopologyStats};
 
 use pipm_types::{CxlConfig, Cycle, HostId, CPU_GHZ};
 
-/// Direction of a message on a host's CXL link.
+/// Direction of a message on a CXL link.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Dir {
     /// From the host toward the CXL memory node.
@@ -90,43 +86,26 @@ struct Link {
     stats: LinkStats,
 }
 
-/// The CXL fabric: one full-duplex link per host.
+/// A bundle of independent full-duplex links under one link config: the
+/// edge type [`Topology`] builds its planes, uplinks, and switch ports
+/// from. Link `i` is addressed as `HostId::new(i)`.
 #[derive(Clone, Debug)]
-pub struct Fabric {
+pub(crate) struct Links {
     links: Vec<Link>,
     latency: Cycle,
     cycles_per_byte: f64,
-    header_bytes: u64,
 }
 
-impl Fabric {
-    /// Creates a fabric connecting `hosts` hosts to the memory node.
-    ///
-    /// Deprecated: the host count lives in the topology spec now, so the
-    /// two cannot drift. Build a
-    /// [`TopologySpec::single_device`](pipm_types::TopologySpec::single_device)
-    /// (or a richer graph), install it with
-    /// [`SystemConfig::apply_topology`](pipm_types::SystemConfig::apply_topology),
-    /// and construct a [`Topology`].
+impl Links {
+    /// `n` idle links under `cfg`.
     ///
     /// # Panics
     ///
-    /// Panics if `hosts` is zero or the configured bandwidth is
-    /// non-positive.
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct a Topology from TopologySpec::single_device(hosts) instead"
-    )]
-    pub fn new(hosts: usize, cfg: &CxlConfig) -> Self {
-        Fabric::with_links(hosts, cfg)
-    }
-
-    /// Internal edge constructor used by [`Topology`]: a bundle of `n`
-    /// independent full-duplex links under one link config.
-    pub(crate) fn with_links(n: usize, cfg: &CxlConfig) -> Self {
-        assert!(n > 0, "fabric needs at least one link");
+    /// Panics if `n` is zero or the configured bandwidth is non-positive.
+    pub(crate) fn new(n: usize, cfg: &CxlConfig) -> Self {
+        assert!(n > 0, "a link bundle needs at least one link");
         assert!(cfg.link_gbps > 0.0, "link bandwidth must be positive");
-        Fabric {
+        Links {
             links: vec![
                 Link {
                     up: Direction::default(),
@@ -137,45 +116,38 @@ impl Fabric {
             ],
             latency: pipm_types::cycles_from_ns(cfg.link_latency_ns),
             cycles_per_byte: CPU_GHZ / cfg.link_gbps,
-            header_bytes: cfg.header_bytes,
         }
     }
 
     /// One-way propagation latency in cycles.
-    pub fn latency(&self) -> Cycle {
+    pub(crate) fn latency(&self) -> Cycle {
         self.latency
     }
 
-    /// Reconfigures link latency, bandwidth, and header size in place,
-    /// preserving per-direction occupancy (busy-until horizons) and
-    /// accumulated statistics. Checkpointed sweeps use this to apply a
-    /// late-binding configuration delta to a warmed fabric: in-flight
-    /// serialization finishes under the old parameters, messages sent
-    /// after the call see the new ones.
+    /// Reconfigures link latency and bandwidth in place, preserving
+    /// per-direction occupancy (busy-until horizons) and accumulated
+    /// statistics. Checkpointed sweeps use this to apply a late-binding
+    /// configuration delta to a warmed fabric: in-flight serialization
+    /// finishes under the old parameters, messages sent after the call
+    /// see the new ones.
     ///
     /// # Panics
     ///
     /// Panics if the new bandwidth is non-positive.
-    pub fn set_link_params(&mut self, cfg: &CxlConfig) {
+    pub(crate) fn set_link_params(&mut self, cfg: &CxlConfig) {
         assert!(cfg.link_gbps > 0.0, "link bandwidth must be positive");
         self.latency = pipm_types::cycles_from_ns(cfg.link_latency_ns);
         self.cycles_per_byte = CPU_GHZ / cfg.link_gbps;
-        self.header_bytes = cfg.header_bytes;
-    }
-
-    /// Size in bytes of a control/request message.
-    pub fn header_bytes(&self) -> u64 {
-        self.header_bytes
     }
 
     fn serialization(&self, bytes: u64) -> Cycle {
         (bytes as f64 * self.cycles_per_byte).ceil() as Cycle
     }
 
-    /// Sends `bytes` over host `h`'s link in direction `dir` starting at
-    /// `now`. `is_migration` marks migration payload traffic, which is
-    /// tracked separately for transfer-overhead attribution.
-    pub fn send(
+    /// Sends `bytes` over link `h` in direction `dir` starting at `now`.
+    /// `is_migration` marks migration payload traffic, which is tracked
+    /// separately for transfer-overhead attribution.
+    pub(crate) fn send(
         &mut self,
         h: HostId,
         dir: Dir,
@@ -209,45 +181,8 @@ impl Fabric {
         }
     }
 
-    /// Convenience: a round trip host→device→host carrying a request header
-    /// up and `payload_bytes` down, starting at `now`. Returns the arrival
-    /// of the response at the host.
-    pub fn round_trip(&mut self, h: HostId, now: Cycle, payload_bytes: u64) -> Arrival {
-        let up = self.send(h, Dir::ToDevice, now, self.header_bytes, false);
-        let down = self.send(h, Dir::ToHost, up.at, payload_bytes, false);
-        Arrival {
-            at: down.at,
-            queued: up.queued + down.queued,
-            queued_behind_migration: up.queued_behind_migration + down.queued_behind_migration,
-        }
-    }
-
-    /// Routes a message from host `from` to host `to` through the memory
-    /// node (two link traversals), as inter-host traffic does in Figure 3.
-    pub fn host_to_host(
-        &mut self,
-        from: HostId,
-        to: HostId,
-        now: Cycle,
-        bytes: u64,
-        is_migration: bool,
-    ) -> Arrival {
-        let leg1 = self.send(from, Dir::ToDevice, now, bytes, is_migration);
-        let leg2 = self.send(to, Dir::ToHost, leg1.at, bytes, is_migration);
-        Arrival {
-            at: leg2.at,
-            queued: leg1.queued + leg2.queued,
-            queued_behind_migration: leg1.queued_behind_migration + leg2.queued_behind_migration,
-        }
-    }
-
-    /// Statistics for host `h`'s link.
-    pub fn stats(&self, h: HostId) -> LinkStats {
-        self.links[h.index()].stats
-    }
-
     /// Aggregate statistics over all links.
-    pub fn total_stats(&self) -> LinkStats {
+    pub(crate) fn total_stats(&self) -> LinkStats {
         let mut t = LinkStats::default();
         for l in &self.links {
             t.demand_messages += l.stats.demand_messages;
@@ -259,7 +194,7 @@ impl Fabric {
     }
 
     /// Resets statistics without disturbing link occupancy.
-    pub fn reset_stats(&mut self) {
+    pub(crate) fn reset_stats(&mut self) {
         for l in &mut self.links {
             l.stats = LinkStats::default();
         }
@@ -270,8 +205,8 @@ impl Fabric {
 mod tests {
     use super::*;
 
-    fn fabric() -> Fabric {
-        Fabric::with_links(4, &CxlConfig::default())
+    fn fabric() -> Links {
+        Links::new(4, &CxlConfig::default())
     }
 
     #[test]
@@ -345,7 +280,7 @@ mod tests {
         let a = f.send(h, Dir::ToHost, 0, 64, false);
         assert!(a.queued > 0);
         assert_eq!(a.queued, a.queued_behind_migration);
-        assert_eq!(f.stats(h).migration_bytes, 4096);
+        assert_eq!(f.total_stats().migration_bytes, 4096);
     }
 
     #[test]
@@ -388,61 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_sums_leg_queueing() {
-        let mut f = fabric();
-        let h = HostId::new(2);
-        // Occupy both directions with migration payloads.
-        f.send(h, Dir::ToDevice, 0, 8192, true);
-        f.send(h, Dir::ToHost, 0, 8192, true);
-        let mut manual = f.clone();
-        let rt = f.round_trip(h, 0, 64);
-        let up = manual.send(h, Dir::ToDevice, 0, manual.header_bytes(), false);
-        let down = manual.send(h, Dir::ToHost, up.at, 64, false);
-        assert_eq!(rt.at, down.at);
-        assert_eq!(rt.queued, up.queued + down.queued);
-        assert_eq!(
-            rt.queued_behind_migration,
-            up.queued_behind_migration + down.queued_behind_migration
-        );
-        assert!(rt.queued_behind_migration > 0);
-    }
-
-    #[test]
-    fn host_to_host_sums_leg_queueing() {
-        let mut f = fabric();
-        let (from, to) = (HostId::new(0), HostId::new(3));
-        f.send(from, Dir::ToDevice, 0, 8192, true);
-        f.send(to, Dir::ToHost, 0, 8192, true);
-        let mut manual = f.clone();
-        let a = f.host_to_host(from, to, 0, 64, false);
-        let leg1 = manual.send(from, Dir::ToDevice, 0, 64, false);
-        let leg2 = manual.send(to, Dir::ToHost, leg1.at, 64, false);
-        assert_eq!(a.at, leg2.at);
-        assert_eq!(a.queued, leg1.queued + leg2.queued);
-        assert_eq!(
-            a.queued_behind_migration,
-            leg1.queued_behind_migration + leg2.queued_behind_migration
-        );
-        assert!(a.queued_behind_migration > 0);
-    }
-
-    #[test]
-    fn host_to_host_crosses_two_links() {
-        let mut f = fabric();
-        let a = f.host_to_host(HostId::new(0), HostId::new(1), 0, 64, false);
-        // Two propagation delays plus two serializations of 64 B (32 cyc).
-        assert_eq!(a.at, 2 * 200 + 2 * 32);
-    }
-
-    #[test]
-    fn round_trip_carries_payload_down() {
-        let mut f = fabric();
-        let a = f.round_trip(HostId::new(3), 0, 64);
-        // Up: 8 + 200; down: 32 + 200.
-        assert_eq!(a.at, 208 + 232);
-    }
-
-    #[test]
     fn bandwidth_scales_serialization() {
         let slow = CxlConfig {
             link_gbps: 2.5,
@@ -452,8 +332,8 @@ mod tests {
             link_gbps: 10.0,
             ..CxlConfig::default()
         };
-        let mut fs = Fabric::with_links(1, &slow);
-        let mut ff = Fabric::with_links(1, &fast);
+        let mut fs = Links::new(1, &slow);
+        let mut ff = Links::new(1, &fast);
         let h = HostId::new(0);
         let ts = fs.send(h, Dir::ToDevice, 0, 4096, false).at;
         let tf = ff.send(h, Dir::ToDevice, 0, 4096, false).at;
@@ -473,7 +353,7 @@ mod prop_tests {
         fn prop_fifo_per_direction(
             seq in proptest::collection::vec((0u64..200, 1u64..4096), 1..200)
         ) {
-            let mut f = Fabric::with_links(2, &CxlConfig::default());
+            let mut f = Links::new(2, &CxlConfig::default());
             let h = HostId::new(0);
             let mut now = 0;
             let mut last_arrival = 0;
@@ -491,7 +371,7 @@ mod prop_tests {
         fn prop_migration_attribution_bounded(
             seq in proptest::collection::vec((0u64..64, 1u64..512, proptest::bool::ANY), 1..200)
         ) {
-            let mut f = Fabric::with_links(1, &CxlConfig::default());
+            let mut f = Links::new(1, &CxlConfig::default());
             let h = HostId::new(0);
             let mut now = 0;
             for (gap, bytes, mig) in seq {

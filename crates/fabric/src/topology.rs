@@ -1,13 +1,11 @@
 //! Rack-scale topology engine: a graph of hosts, switches, and devices
-//! executed over the busy-until [`Fabric`] links.
+//! executed over busy-until links.
 //!
-//! The [`Topology`] generalizes the single-device fabric to the graph a
-//! [`TopologySpec`] declares:
+//! The [`Topology`] executes the graph a [`TopologySpec`] declares:
 //!
 //! * **Direct hosts** hold one dedicated full-duplex link per device (a
-//!   *plane* per device, each an independent [`Fabric`]). With one device
-//!   this is bit-identical to the legacy fabric — same links, same
-//!   queueing, same statistics.
+//!   *plane* per device, one link per host). With one device this is
+//!   exactly one link per host to the memory node, the paper's setting.
 //! * **Switched hosts** share one uplink into their switch; the switch
 //!   owns one port link per device, shared by every host behind it. A
 //!   traversal pays both link propagations plus the switch's
@@ -16,11 +14,10 @@
 //!   0 never queues behind traffic to device 1 unless they share a
 //!   switch port or uplink.
 //!
-//! Message direction keeps the legacy meaning: [`Dir::ToDevice`] moves
-//! toward the addressed device, [`Dir::ToHost`] toward the host, whichever
-//! legs that takes.
+//! [`Dir::ToDevice`] moves toward the addressed device, [`Dir::ToHost`]
+//! toward the host, whichever legs that takes.
 
-use crate::{Arrival, Dir, Fabric, LinkStats};
+use crate::{Arrival, Dir, LinkStats, Links};
 use pipm_types::{cycles_from_ns, Attach, Cycle, HostId, LineAddr, PageNum, SystemConfig};
 
 /// Aggregate topology counters beyond the per-link [`LinkStats`].
@@ -39,24 +36,24 @@ struct Switch {
     /// Store-and-forward delay per traversal, in CPU cycles.
     forward: Cycle,
     /// One port link per device, indexed by `HostId::new(device)`.
-    ports: Fabric,
+    ports: Links,
     /// Ports built from the system-wide link config (follow
     /// [`Topology::set_link_params`]) vs. pinned by the spec.
     ports_inherit: bool,
 }
 
 /// The executable fabric graph. Construct with [`Topology::new`] from a
-/// validated [`SystemConfig`]; the spec's default shape makes this a
-/// drop-in replacement for the legacy one-device [`Fabric`].
+/// validated [`SystemConfig`]; the spec's default shape is one device
+/// with one direct link per host.
 ///
 /// [`TopologySpec`]: pipm_types::TopologySpec
 #[derive(Clone, Debug)]
 pub struct Topology {
     /// Per-device planes of direct host links.
-    planes: Vec<Fabric>,
+    planes: Vec<Links>,
     /// Host→switch uplinks (only the switched hosts' entries carry
     /// traffic; direct hosts' entries stay idle).
-    uplinks: Fabric,
+    uplinks: Links,
     switches: Vec<Switch>,
     attach: Vec<Attach>,
     devices: usize,
@@ -82,15 +79,13 @@ impl Topology {
             .iter()
             .map(|sw| Switch {
                 forward: cycles_from_ns(sw.forward_latency_ns),
-                ports: Fabric::with_links(devices, sw.port_link.as_ref().unwrap_or(&cfg.cxl)),
+                ports: Links::new(devices, sw.port_link.as_ref().unwrap_or(&cfg.cxl)),
                 ports_inherit: sw.port_link.is_none(),
             })
             .collect();
         Topology {
-            planes: (0..devices)
-                .map(|_| Fabric::with_links(hosts, &cfg.cxl))
-                .collect(),
-            uplinks: Fabric::with_links(hosts, &cfg.cxl),
+            planes: (0..devices).map(|_| Links::new(hosts, &cfg.cxl)).collect(),
+            uplinks: Links::new(hosts, &cfg.cxl),
             switches,
             attach: (0..hosts).map(|h| spec.attach_of(h)).collect(),
             devices,
@@ -129,8 +124,7 @@ impl Topology {
     /// Sends `bytes` between host `h` and device `dev` in direction `dir`
     /// starting at `now`, traversing whatever legs the host's attachment
     /// requires. Leg arrivals chain (store-and-forward at switches);
-    /// queueing attributions sum across legs, exactly as the legacy
-    /// multi-leg helpers did.
+    /// queueing attributions sum across legs.
     pub fn send(
         &mut self,
         h: HostId,
@@ -257,14 +251,14 @@ mod tests {
         cfg
     }
 
-    /// The degenerate single-device topology must be bit-identical to the
-    /// raw legacy fabric: same arrivals, same queueing, same attribution,
+    /// The degenerate single-device topology must be bit-identical to one
+    /// raw link per host: same arrivals, same queueing, same attribution,
     /// message for message.
     #[test]
     fn single_device_matches_raw_fabric_bit_for_bit() {
         let cfg = cfg_with(TopologySpec::single_device(4));
         let mut topo = Topology::new(&cfg);
-        let mut raw = Fabric::with_links(4, &cfg.cxl);
+        let mut raw = Links::new(4, &cfg.cxl);
         // A deterministic mixed workload of demand and migration traffic.
         let mut now = 0;
         for i in 0..200u64 {

@@ -298,16 +298,12 @@ fn print_metrics(addr: &str, timeout: Option<Duration>) -> std::io::Result<()> {
         u("uptime_ms"),
     );
     println!(
-        "cluster: mode={} healthy_nodes={} forwarded={} retries={} fallback_local={} \
-         fills_received={} fills_sent={} fills_send_failed={}",
+        "cluster: mode={} healthy_nodes={} forwarded={} retries={} fallback_local={}",
         m.get("mode").and_then(Json::as_str).unwrap_or("?"),
         u("healthy_nodes"),
         u("router_forwarded"),
         u("router_retries"),
         u("router_fallback_local"),
-        u("fills_received"),
-        u("fills_sent"),
-        u("fills_send_failed"),
     );
     Ok(())
 }

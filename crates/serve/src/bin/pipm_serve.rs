@@ -5,14 +5,13 @@
 //!            [--cache-capacity N] [--ckpt-cache-capacity N]
 //!            [--max-batch-jobs N] [--max-refs-per-core N]
 //!            [--read-timeout-secs N] [--max-connections N]
-//!            [--route HOST:PORT,HOST:PORT,...] [--peers HOST:PORT,...]
+//!            [--route HOST:PORT,HOST:PORT,...]
 //!            [--probe-interval-ms N] [--forward-retries N]
 //! ```
 //!
 //! With `--route`, this daemon forwards each job to its consistent-hash
 //! owner among the listed nodes (falling back to local compute when a
-//! node is down). With `--peers`, freshly computed results are pushed
-//! to the listed peers as `fill` requests so they serve warm hits.
+//! node is down) and answers repeated jobs from its own run cache.
 //!
 //! Prints `listening on <addr>` once ready (scripts wait for that
 //! line), serves until a `shutdown` request, then drains and exits 0.
@@ -27,7 +26,7 @@ fn usage() -> ! {
          \x20                 [--cache-capacity N] [--ckpt-cache-capacity N]\n\
          \x20                 [--max-batch-jobs N] [--max-refs-per-core N]\n\
          \x20                 [--read-timeout-secs N] [--max-connections N]\n\
-         \x20                 [--route HOST:PORT,...] [--peers HOST:PORT,...]\n\
+         \x20                 [--route HOST:PORT,...]\n\
          \x20                 [--probe-interval-ms N] [--forward-retries N]"
     );
     std::process::exit(2);
@@ -91,7 +90,6 @@ fn parse_args() -> ServerConfig {
                 cfg.max_connections = parse_num(&value("--max-connections"), "--max-connections")
             }
             "--route" => cfg.route_nodes = addr_list(&value("--route"), "--route"),
-            "--peers" => cfg.peers = addr_list(&value("--peers"), "--peers"),
             "--probe-interval-ms" => {
                 cfg.probe_interval = Duration::from_millis(parse_num::<u64>(
                     &value("--probe-interval-ms"),

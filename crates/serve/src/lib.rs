@@ -6,7 +6,7 @@
 //! [`RunCache`](pipm_core::RunCache):
 //!
 //! - **Daemon** ([`server::Server`]): accepts `submit` batches, `status`,
-//!   `metrics`, `fill`, and `shutdown` requests over TCP. The front end
+//!   `metrics`, and `shutdown` requests over TCP. The front end
 //!   is a std-only non-blocking readiness loop ([`reactor`]) — one
 //!   thread multiplexes every connection, with per-connection deadlines,
 //!   a bounded connection count, and structured `overloaded` shedding.
@@ -16,10 +16,11 @@
 //!   the run cache, so each unique `(workload, scheme, cfg, params)`
 //!   fingerprint is simulated once.
 //! - **Cluster** ([`router`]): with `--route`, a daemon consistent-hash
-//!   routes each job to its owner across N worker nodes, forwards fresh
-//!   results as `fill`s so every node serves warm byte-identical hits,
-//!   health-probes its peers, and falls back to local compute when a
-//!   node dies — a kill costs latency, never correctness.
+//!   routes each job to its one owner across N worker nodes and answers
+//!   repeats from its own run cache, so each key is computed once per
+//!   cluster. It health-probes the nodes and falls back to local
+//!   compute when a node dies — a kill costs latency, never
+//!   correctness.
 //! - **Client** ([`client`], [`bench`]): a thin line-oriented client
 //!   and an open-loop Poisson benchmark (latency percentiles,
 //!   saturation sweep) used by the `pipm-client` binary and the CI

@@ -10,14 +10,7 @@
 //! {"cmd":"status"}
 //! {"cmd":"metrics"}
 //! {"cmd":"shutdown"}
-//! {"cmd":"fill","fills":[{"key":"job-v1|…","result":"{…encoded…}"}]}
 //! ```
-//!
-//! `fill` is the cluster cache-coherence path: a peer that freshly
-//! computed a job pushes its canonical encoded result string, and the
-//! receiver preloads its run cache with those exact bytes (see
-//! [`RunCache::insert`](pipm_core::RunCache::insert)) — so a job
-//! computed on any node is a warm, byte-identical hit on every node.
 //!
 //! `whatif` is the checkpointed-sweep form of `submit`: each job names a
 //! base configuration (same fields as `submit`, with `warmup_fraction`
@@ -120,9 +113,6 @@ pub enum Request {
     Metrics,
     /// Graceful shutdown: drain queued jobs, then exit 0.
     Shutdown,
-    /// Peer cache fills: `(key, canonical encoded result)` pairs to
-    /// preload into the run cache.
-    Fill(Vec<(String, String)>),
 }
 
 /// Per-request admission limits (the daemon's, or a client's mirror).
@@ -213,7 +203,6 @@ pub fn parse_request(line: &str, limits: &RequestLimits) -> Result<Request, Prot
         "shutdown" => Ok(Request::Shutdown),
         "submit" => parse_batch(&root, limits, false).map(Request::Submit),
         "whatif" => parse_batch(&root, limits, true).map(Request::Submit),
-        "fill" => parse_fills(&root).map(Request::Fill),
         other => Err(ProtoError::new(
             kind::MALFORMED,
             format!("unknown cmd `{other}`"),
@@ -348,63 +337,6 @@ fn parse_job(index: usize, job: &Json, limits: &RequestLimits) -> Result<Job, Pr
         whatif: None,
         raw: job.encode(),
     })
-}
-
-/// Largest `fill` batch accepted in one request line.
-const MAX_FILL_BATCH: usize = 256;
-
-fn parse_fills(root: &Json) -> Result<Vec<(String, String)>, ProtoError> {
-    let fills = root
-        .get("fills")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| ProtoError::new(kind::MALFORMED, "fill needs a `fills` array"))?;
-    if fills.is_empty() {
-        return Err(ProtoError::new(kind::BAD_REQUEST, "empty fill batch"));
-    }
-    if fills.len() > MAX_FILL_BATCH {
-        return Err(ProtoError {
-            kind: kind::LIMIT_EXCEEDED,
-            detail: format!(
-                "fill batch of {} exceeds the {MAX_FILL_BATCH}-entry limit",
-                fills.len()
-            ),
-            extra: vec![("max_fill_batch".into(), Json::UInt(MAX_FILL_BATCH as u64))],
-        });
-    }
-    fills
-        .iter()
-        .enumerate()
-        .map(|(i, f)| {
-            let key = f.get("key").and_then(Json::as_str).ok_or_else(|| {
-                ProtoError::new(kind::MALFORMED, format!("fill #{i}: missing string `key`"))
-            })?;
-            if key.is_empty() {
-                return Err(ProtoError::new(
-                    kind::BAD_REQUEST,
-                    format!("fill #{i}: empty key"),
-                ));
-            }
-            let result = f.get("result").and_then(Json::as_str).ok_or_else(|| {
-                ProtoError::new(
-                    kind::MALFORMED,
-                    format!("fill #{i}: missing string `result`"),
-                )
-            })?;
-            // A fill preloads bytes the daemon will later serve
-            // verbatim; refuse anything that is not a JSON object so a
-            // buggy (or hostile) peer cannot poison responses.
-            let ok_shape = crate::json::parse(result)
-                .map(|v| v.as_obj().is_some())
-                .unwrap_or(false);
-            if !ok_shape {
-                return Err(ProtoError::new(
-                    kind::BAD_REQUEST,
-                    format!("fill #{i}: `result` is not a JSON object"),
-                ));
-            }
-            Ok((key.to_string(), result.to_string()))
-        })
-        .collect()
 }
 
 /// Upgrades a parsed `submit`-shaped job into a `whatif` job: pins the
@@ -709,7 +641,7 @@ pub fn encode_batch(results: &[Json]) -> String {
 /// as raw bytes. This is the serving path: the run cache stores
 /// canonical encoded strings, and splicing (never decode + re-encode)
 /// is what keeps a response byte-identical whether each result was
-/// computed here, served warm, or filled in by a peer.
+/// computed here, served warm, or forwarded from a ring owner.
 pub fn encode_batch_raw(results: &[String]) -> String {
     let payload: usize = results.iter().map(String::len).sum();
     let mut out = String::with_capacity(payload + results.len() + 24);
@@ -770,9 +702,11 @@ mod tests {
 
     #[test]
     fn error_kinds_are_structured() {
-        let cases: [(&str, &str); 8] = [
+        let cases: [(&str, &str); 9] = [
             ("{nope", kind::MALFORMED),
             (r#"{"cmd":"dance"}"#, kind::MALFORMED),
+            // Nodes never push results to each other: no `fill` command.
+            (r#"{"cmd":"fill","fills":[]}"#, kind::MALFORMED),
             (
                 r#"{"cmd":"submit","jobs":[{"workload":"quake","scheme":"pipm"}]}"#,
                 kind::UNKNOWN_WORKLOAD,
@@ -870,44 +804,6 @@ mod tests {
             ),
             (
                 r#"{"cmd":"whatif","jobs":[{"workload":"bfs","scheme":"pipm","delta":{"migration_threshold":0}}]}"#,
-                kind::BAD_REQUEST,
-            ),
-        ];
-        for (line, want) in cases {
-            let err = parse_request(line, &limits()).unwrap_err();
-            assert_eq!(err.kind, want, "line: {line}");
-        }
-    }
-
-    #[test]
-    fn fill_parses_and_validates() {
-        let r = parse_request(
-            r#"{"cmd":"fill","fills":[{"key":"job-v1|X","result":"{\"ipc\":0.25}"}]}"#,
-            &limits(),
-        )
-        .unwrap();
-        let Request::Fill(fills) = r else {
-            panic!("expected fill")
-        };
-        assert_eq!(fills.len(), 1);
-        assert_eq!(fills[0].0, "job-v1|X");
-        // The escaped result string is recovered verbatim.
-        assert_eq!(fills[0].1, r#"{"ipc":0.25}"#);
-
-        let cases: [(&str, &str); 5] = [
-            (r#"{"cmd":"fill"}"#, kind::MALFORMED),
-            (r#"{"cmd":"fill","fills":[]}"#, kind::BAD_REQUEST),
-            (
-                r#"{"cmd":"fill","fills":[{"result":"{}"}]}"#,
-                kind::MALFORMED,
-            ),
-            (
-                r#"{"cmd":"fill","fills":[{"key":"","result":"{}"}]}"#,
-                kind::BAD_REQUEST,
-            ),
-            // A result that is not a JSON object cannot be preloaded.
-            (
-                r#"{"cmd":"fill","fills":[{"key":"k","result":"not json"}]}"#,
                 kind::BAD_REQUEST,
             ),
         ];

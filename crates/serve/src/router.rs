@@ -1,17 +1,17 @@
-//! Horizontal sharding: consistent-hash routing, peer cache fills, and
-//! graceful degradation.
+//! Horizontal sharding: consistent-hash routing and graceful degradation.
 //!
 //! ```text
 //!            router (pipm-serve --route A,B,C)
 //!   client ──▶ hash ring over job_key ──▶ owner node ──▶ result
 //!                    │                        ✗ dead?
 //!                    └── retry w/ backoff ──▶ local fallback compute
-//!
-//!   node A computes job J ──fill──▶ node B, node C   (J is now a hit
-//!                                                     cluster-wide)
 //! ```
 //!
-//! Three cooperating pieces, all std-only:
+//! Each key has exactly one owner, and the router keeps its own run
+//! cache in front of the ring, so a routed job is computed once per
+//! cluster: the owner computes it the first time, and every repeat is a
+//! hit on the router (or, if the router's entry was evicted, on the
+//! owner). Two cooperating pieces, all std-only:
 //!
 //! * [`HashRing`] — consistent hashing of canonical `job_key`s onto
 //!   node addresses with virtual nodes, so adding/removing a node
@@ -22,11 +22,6 @@
 //!   retry-with-backoff, and **local fallback compute**: when the owner
 //!   node is unreachable the router runs the simulation itself, so a
 //!   node kill costs latency, never correctness or availability.
-//! * [`FillForwarder`] — a background thread draining a bounded queue
-//!   of freshly computed `(key, canonical result)` pairs to every peer
-//!   as `fill` requests. Fills are an optimization: failures are
-//!   counted, never retried, and received fills do not re-announce
-//!   (see `RunCache::set_fill_hook`), so gossip cannot loop.
 //!
 //! Forwarded results are spliced out of the node's response *as raw
 //! bytes* — never decoded and re-encoded — so a routed response is
@@ -34,11 +29,10 @@
 
 use crate::proto::Job;
 use pipm_core::fingerprint64;
-use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Virtual nodes per physical node: enough to keep the largest arc
@@ -347,118 +341,6 @@ fn request_once(
     (n > 0).then(|| response.trim_end().to_string())
 }
 
-/// Longest fill backlog retained; beyond it the oldest announcements
-/// are dropped (fills are an optimization, not a durability promise).
-const FILL_QUEUE_CAP: usize = 1024;
-/// Fills drained per forwarding round trip (batched into one line).
-const FILL_BATCH: usize = 16;
-
-/// Background peer cache-fill forwarding: freshly computed results are
-/// enqueued (via `RunCache::set_fill_hook`) and pushed to every peer,
-/// so a job computed on any node becomes a warm hit cluster-wide.
-pub struct FillForwarder {
-    peers: Vec<String>,
-    queue: Mutex<VecDeque<(String, String)>>,
-    cv: Condvar,
-    stop: Arc<AtomicBool>,
-    /// Fill entries successfully delivered (per peer per entry).
-    pub sent: AtomicU64,
-    /// Delivery attempts that failed (peer down — never retried).
-    pub send_failed: AtomicU64,
-    /// Entries dropped because the backlog was full.
-    pub dropped: AtomicU64,
-}
-
-impl FillForwarder {
-    /// Starts the forwarder thread pushing to `peers` until `stop`
-    /// flips at daemon shutdown.
-    pub fn start(peers: Vec<String>, stop: Arc<AtomicBool>) -> Arc<FillForwarder> {
-        let fw = Arc::new(FillForwarder {
-            peers,
-            queue: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
-            stop,
-            sent: AtomicU64::new(0),
-            send_failed: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-        });
-        let worker = Arc::clone(&fw);
-        std::thread::spawn(move || worker.run());
-        fw
-    }
-
-    /// Enqueues one freshly computed `(key, canonical result)` pair.
-    pub fn announce(&self, key: &str, result: &str) {
-        let mut queue = self.queue.lock().expect("fill queue poisoned");
-        if queue.len() >= FILL_QUEUE_CAP {
-            queue.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        queue.push_back((key.to_string(), result.to_string()));
-        drop(queue);
-        self.cv.notify_one();
-    }
-
-    /// Entries waiting to be pushed (tests poll this to zero).
-    pub fn backlog(&self) -> usize {
-        self.queue.lock().expect("fill queue poisoned").len()
-    }
-
-    fn run(&self) {
-        loop {
-            let batch = {
-                let mut queue = self.queue.lock().expect("fill queue poisoned");
-                while queue.is_empty() {
-                    if self.stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    let (guard, _timeout) = self
-                        .cv
-                        .wait_timeout(queue, Duration::from_millis(50))
-                        .expect("fill queue poisoned");
-                    queue = guard;
-                }
-                let take = queue.len().min(FILL_BATCH);
-                queue.drain(..take).collect::<Vec<_>>()
-            };
-            let line = encode_fill_line(&batch);
-            for peer in &self.peers {
-                let delivered =
-                    request_once(peer, &line, Duration::from_secs(1), Duration::from_secs(5))
-                        .is_some();
-                if delivered {
-                    self.sent.fetch_add(batch.len() as u64, Ordering::Relaxed);
-                } else {
-                    self.send_failed
-                        .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                }
-            }
-        }
-    }
-}
-
-/// Encodes a batch of fills as one `fill` request line. The result
-/// objects travel as JSON *strings* (escaped, recovered verbatim on
-/// parse), so the receiving cache stores exactly the bytes the
-/// computing node would have served.
-fn encode_fill_line(batch: &[(String, String)]) -> String {
-    use crate::json::Json;
-    let fills = batch
-        .iter()
-        .map(|(key, result)| {
-            Json::Obj(vec![
-                ("key".to_string(), Json::Str(key.clone())),
-                ("result".to_string(), Json::Str(result.clone())),
-            ])
-        })
-        .collect();
-    Json::Obj(vec![
-        ("cmd".to_string(), Json::Str("fill".to_string())),
-        ("fills".to_string(), Json::Arr(fills)),
-    ])
-    .encode()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -552,26 +434,6 @@ mod tests {
         assert_eq!(
             classify_response(r#"{"ok":false}"#),
             Err(ForwardError::Rejected)
-        );
-    }
-
-    #[test]
-    fn fill_line_round_trips_result_bytes_exactly() {
-        let result = r#"{"workload":"BFS","ipc":0.25,"note":"q\"uote"}"#;
-        let line = encode_fill_line(&[("k1".to_string(), result.to_string())]);
-        let parsed = crate::json::parse(&line).expect("fill line parses");
-        assert_eq!(
-            parsed.get("cmd").and_then(crate::json::Json::as_str),
-            Some("fill")
-        );
-        let fills = parsed
-            .get("fills")
-            .and_then(crate::json::Json::as_arr)
-            .expect("fills array");
-        assert_eq!(
-            fills[0].get("result").and_then(crate::json::Json::as_str),
-            Some(result),
-            "escaped result string must be recovered verbatim"
         );
     }
 }

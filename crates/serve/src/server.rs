@@ -1,5 +1,5 @@
 //! The daemon: readiness-loop front end, bounded admission queue,
-//! worker pool, and (optionally) the routing/fill layer.
+//! worker pool, and (optionally) the routing layer.
 //!
 //! ```text
 //!  reactor (one thread, N conns) ──parse──▶ admission queue ──▶ workers
@@ -22,19 +22,18 @@
 //! reactor's 1 ms idle sleep before the sweep that reads it.
 //!
 //! The run cache stores **canonical encoded result strings**, not
-//! parsed values: a hit, a peer fill, and a fresh compute all serve the
-//! exact same bytes, which is what makes cross-node responses
-//! byte-identical. With `route_nodes` set the daemon is a *router*
-//! (jobs forward to their [`HashRing`](crate::router::HashRing) owner,
-//! falling back to local compute); with `peers` set it pushes fresh
-//! computes to its peer nodes as `fill` requests. `shutdown` flips a
-//! flag: the reactor drains open connections, workers drain the queue,
-//! and [`Server::run`] returns `Ok(())`.
+//! parsed values: a hit and a fresh compute serve the exact same bytes,
+//! which is what makes cross-node responses byte-identical. With
+//! `route_nodes` set the daemon is a *router*: jobs forward to their
+//! [`HashRing`](crate::router::HashRing) owner, falling back to local
+//! compute, and the router's own run cache answers repeats. `shutdown`
+//! flips a flag: the reactor drains open connections, workers drain the
+//! queue, and [`Server::run`] returns `Ok(())`.
 
 use crate::json::Json;
 use crate::proto::{self, encode_batch_raw, encode_result, kind, Job, ProtoError, Request};
 use crate::reactor::{self, JobSlot, LineOutcome, ReactorConfig, RequestSink};
-use crate::router::{FillForwarder, RouterConfig, RouterState};
+use crate::router::{RouterConfig, RouterState};
 use pipm_core::{resume_one, run_one, run_prefix_one, Checkpoint, RunCache};
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener};
@@ -77,10 +76,6 @@ pub struct ServerConfig {
     /// Non-empty makes this daemon a **router**: jobs consistent-hash
     /// to these worker-node addresses on their canonical `job_key`.
     pub route_nodes: Vec<String>,
-    /// Peer node addresses to push fresh computes to as `fill`
-    /// requests (usually the other worker nodes in the cluster). Can
-    /// also be set after bind via [`Server::set_peers`].
-    pub peers: Vec<String>,
     /// Router health-probe period.
     pub probe_interval: Duration,
     /// Router per-attempt forward response timeout.
@@ -102,7 +97,6 @@ impl Default for ServerConfig {
             max_line_bytes: 1 << 20,
             max_connections: 1024,
             route_nodes: Vec::new(),
-            peers: Vec::new(),
             probe_interval: Duration::from_millis(500),
             forward_timeout: Duration::from_secs(600),
             forward_retries: 1,
@@ -125,7 +119,6 @@ struct Counters {
     jobs_failed: AtomicU64,
     rejected_overloaded: AtomicU64,
     rejected_invalid: AtomicU64,
-    fills_received: AtomicU64,
 }
 
 /// One admitted job: what to run, and the slot the reactor polls.
@@ -137,13 +130,13 @@ struct QueuedJob {
 struct Shared {
     cfg: ServerConfig,
     /// Canonical encoded result strings keyed by `Job::key` — storing
-    /// the bytes (not the parsed value) is what guarantees a hit, a
-    /// fill, and a fresh compute are byte-identical on the wire.
+    /// the bytes (not the parsed value) is what guarantees a hit and a
+    /// fresh compute are byte-identical on the wire.
     cache: RunCache<String>,
     // Warmed prefixes for `whatif` jobs; cloning an entry out *is* the
     // fork operation (Checkpoint::clone re-creates every stream at its
     // exact generator position). Checkpoints are node-local: only the
-    // (small) encoded results travel between nodes.
+    // (small) encoded results travel between router and node.
     ckpt_cache: RunCache<Checkpoint>,
     queue: Mutex<VecDeque<QueuedJob>>,
     queue_cv: Condvar,
@@ -152,11 +145,6 @@ struct Shared {
     started: Instant,
     /// `Some` when this daemon routes instead of (only) computing.
     router: Option<Arc<RouterState>>,
-    /// Fill-forward targets; mutable until [`Server::run`] starts the
-    /// forwarder (tests bind all nodes first, then wire peers).
-    fill_peers: Mutex<Vec<String>>,
-    /// The running fill forwarder, for metrics.
-    forwarder: Mutex<Option<Arc<FillForwarder>>>,
 }
 
 impl Shared {
@@ -311,39 +299,12 @@ impl Shared {
         }
     }
 
-    /// Applies a batch of peer fills. `RunCache::insert` is a preload:
-    /// it never fires the fill hook, so received fills are not
-    /// re-announced and gossip cannot loop.
-    fn apply_fills(&self, fills: Vec<(String, String)>) -> String {
-        let count = fills.len() as u64;
-        for (key, result) in fills {
-            self.cache.insert(&key, result);
-        }
-        self.counters
-            .fills_received
-            .fetch_add(count, Ordering::Relaxed);
-        Json::Obj(vec![
-            ("ok".into(), Json::Bool(true)),
-            ("filled".into(), Json::UInt(count)),
-        ])
-        .encode()
-    }
-
     fn metrics_response(&self) -> String {
         let cache = self.cache.stats();
         let ckpt = self.ckpt_cache.stats();
         let queue_depth = self.queue.lock().unwrap().len() as u64;
         let c = &self.counters;
         let get = |a: &AtomicU64| Json::UInt(a.load(Ordering::Relaxed));
-        let (fills_sent, fills_send_failed, fills_dropped) =
-            match self.forwarder.lock().unwrap().as_ref() {
-                Some(fw) => (
-                    fw.sent.load(Ordering::Relaxed),
-                    fw.send_failed.load(Ordering::Relaxed),
-                    fw.dropped.load(Ordering::Relaxed),
-                ),
-                None => (0, 0, 0),
-            };
         let (mode, healthy, forwarded, retries, fallback, unhealthy_marked) = match &self.router {
             Some(r) => (
                 "router",
@@ -387,7 +348,6 @@ impl Shared {
                 Json::UInt(cache.inflight_waits),
             ),
             ("cache_evictions".into(), Json::UInt(cache.evictions)),
-            ("cache_preloads".into(), Json::UInt(cache.preloads)),
             (
                 "ckpt_cache_entries".into(),
                 Json::UInt(self.ckpt_cache.len() as u64),
@@ -399,10 +359,6 @@ impl Shared {
                 Json::UInt(ckpt.inflight_waits),
             ),
             ("ckpt_cache_evictions".into(), Json::UInt(ckpt.evictions)),
-            ("fills_received".into(), get(&c.fills_received)),
-            ("fills_sent".into(), Json::UInt(fills_sent)),
-            ("fills_send_failed".into(), Json::UInt(fills_send_failed)),
-            ("fills_dropped".into(), Json::UInt(fills_dropped)),
             ("healthy_nodes".into(), Json::UInt(healthy)),
             ("router_forwarded".into(), Json::UInt(forwarded)),
             ("router_retries".into(), Json::UInt(retries)),
@@ -448,7 +404,6 @@ impl RequestSink for Shared {
         match request {
             Request::Status => LineOutcome::Respond(self.status_response()),
             Request::Metrics => LineOutcome::Respond(self.metrics_response()),
-            Request::Fill(fills) => LineOutcome::Respond(self.apply_fills(fills)),
             Request::Shutdown => {
                 self.shutdown.store(true, Ordering::SeqCst);
                 self.queue_cv.notify_all();
@@ -570,7 +525,6 @@ impl Server {
         };
         let cache_capacity = cfg.cache_capacity;
         let ckpt_cache_capacity = cfg.ckpt_cache_capacity;
-        let peers = cfg.peers.clone();
         let shared = Arc::new(Shared {
             cfg,
             cache: RunCache::new(cache_capacity),
@@ -581,8 +535,6 @@ impl Server {
             counters: Counters::default(),
             started: Instant::now(),
             router,
-            fill_peers: Mutex::new(peers),
-            forwarder: Mutex::new(None),
         });
         Ok(Server { listener, shared })
     }
@@ -603,16 +555,9 @@ impl Server {
         }
     }
 
-    /// Replaces the fill-forward peer set before [`run`](Server::run).
-    /// Tests (and scripts) bind every node with `:0` first, then wire
-    /// the resolved addresses here.
-    pub fn set_peers(&self, peers: Vec<String>) {
-        *self.shared.fill_peers.lock().unwrap() = peers;
-    }
-
     /// Serves until a `shutdown` request (or [`ShutdownHandle`]) drains
-    /// the daemon: starts the fill forwarder and (in router mode) the
-    /// health-probe thread, spawns the worker pool, and runs the
+    /// the daemon: starts (in router mode) the health-probe thread,
+    /// spawns the worker pool, and runs the
     /// readiness loop. On shutdown the reactor stops accepting, every
     /// pending response is computed and flushed (bounded by a grace
     /// period), and workers finish every queued job before return.
@@ -623,16 +568,6 @@ impl Server {
     /// `WouldBlock`/`Interrupted`/`ConnectionAborted`.
     pub fn run(self) -> std::io::Result<()> {
         let Server { listener, shared } = self;
-        let peers = shared.fill_peers.lock().unwrap().clone();
-        if !peers.is_empty() {
-            let fw = FillForwarder::start(peers, Arc::clone(&shared.shutdown));
-            *shared.forwarder.lock().unwrap() = Some(Arc::clone(&fw));
-            // Fresh computes (never hits, never received fills) are
-            // announced to every peer.
-            shared
-                .cache
-                .set_fill_hook(move |key, value| fw.announce(key, value));
-        }
         if let Some(router) = &shared.router {
             router.spawn_probe(Arc::clone(&shared.shutdown));
         }

@@ -206,9 +206,7 @@ impl SyntheticStream {
 }
 
 impl SyntheticStream {
-    /// Generates one record. Callers must have checked `remaining > 0`;
-    /// keeping the exhaustion test out of this body lets the batched fill
-    /// loop hoist it to a single bound computation per batch.
+    /// Generates one record. Callers must have checked `remaining > 0`.
     #[inline]
     fn gen_record(&mut self) -> TraceRecord {
         debug_assert!(self.remaining > 0);
@@ -270,23 +268,6 @@ impl AccessStream for SyntheticStream {
         Some(self.gen_record())
     }
 
-    /// Specialized batch fill: the record count is computed once from
-    /// `remaining`, so the inner loop carries no per-record exhaustion
-    /// test or `Option` dispatch, and the generator's spec parameters and
-    /// RNG state stay in registers across the batch. Draws records through
-    /// the same [`Self::gen_record`] as the scalar path, so the RNG
-    /// consumption sequence is bit-identical at any batch size.
-    fn fill_batch(&mut self, out: &mut Vec<TraceRecord>, max: usize) -> usize {
-        out.clear();
-        let n = self.remaining.min(max as u64) as usize;
-        out.reserve(n);
-        for _ in 0..n {
-            let rec = self.gen_record();
-            out.push(rec);
-        }
-        n
-    }
-
     fn fork(&self) -> Option<Box<dyn AccessStream>> {
         Some(Box::new(self.clone()))
     }
@@ -317,34 +298,6 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 500);
-    }
-
-    #[test]
-    fn batched_fill_matches_scalar_bit_for_bit() {
-        // The batched fill must consume the RNG in exactly the scalar
-        // order: any batch size, including sizes that straddle phase
-        // boundaries and end-of-trace, yields the identical record
-        // sequence.
-        for w in [Workload::Cc, Workload::Ycsb] {
-            let mut scalar = stream(w, 1000, 9);
-            let mut expect = Vec::new();
-            while let Some(r) = scalar.next_record() {
-                expect.push(r);
-            }
-            for batch in [1usize, 8, 64, 333] {
-                let mut s = stream(w, 1000, 9);
-                let mut got = Vec::new();
-                let mut buf = Vec::new();
-                loop {
-                    let n = s.fill_batch(&mut buf, batch);
-                    got.extend_from_slice(&buf[..n]);
-                    if n < batch {
-                        break;
-                    }
-                }
-                assert_eq!(got, expect, "{w:?} batch {batch}");
-            }
-        }
     }
 
     #[test]

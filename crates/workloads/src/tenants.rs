@@ -123,14 +123,6 @@ impl AccessStream for TenantStream {
         self.inner.next_record().map(|r| self.rebase(r))
     }
 
-    fn fill_batch(&mut self, out: &mut Vec<TraceRecord>, max: usize) -> usize {
-        let n = self.inner.fill_batch(out, max);
-        for r in out.iter_mut() {
-            *r = self.rebase(*r);
-        }
-        n
-    }
-
     fn fork(&self) -> Option<Box<dyn AccessStream>> {
         Some(Box::new(self.clone()))
     }
@@ -180,31 +172,20 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_and_batch_invariant() {
+    fn deterministic_across_runs() {
         let mix = TenantMix::graph_plus_db();
-        let collect = |batch: usize| {
+        let collect = || {
             let mut cfg = SystemConfig::default();
             let params = WorkloadParams {
                 refs_per_core: 1500,
                 seed: 4,
             };
             let mut streams = mix.streams(&mut cfg, &params);
-            let s = &mut streams[1];
-            let mut v = Vec::new();
-            let mut buf = Vec::new();
-            loop {
-                let n = s.fill_batch(&mut buf, batch);
-                v.extend_from_slice(&buf);
-                if n < batch {
-                    break;
-                }
-            }
-            v
+            drain(streams[1].as_mut())
         };
-        let a = collect(1);
-        let b = collect(64);
+        let a = collect();
         assert_eq!(a.len(), 1500);
-        assert_eq!(a, b);
+        assert_eq!(a, collect());
     }
 
     #[test]

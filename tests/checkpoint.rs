@@ -177,20 +177,18 @@ fn forks_are_independent_of_resume_order() {
     assert!(a1.stats.exec_cycles() > base.stats.exec_cycles());
 }
 
-/// A checkpoint taken *mid-batch* must fork and resume bit-identically.
+/// A checkpoint taken at a prime reference count must fork and resume
+/// bit-identically.
 ///
-/// The batched pipeline buffers up to 64 decoded references per core;
-/// `run_prefix` can stop a core partway through its buffer. The
-/// checkpoint must capture that in-flight state (buffered records plus
-/// the stream position *after* generating them), so a fork neither
-/// replays nor skips references. The fork point here is deliberately a
-/// prime, so it is not a multiple of the batch size, the core count, or
-/// their product — every core's boundary falls mid-batch.
+/// `run_prefix` stops wherever the global reference count reaches the
+/// prefix, which is generally partway through a core's run of the argmin
+/// and at a different per-core count on every core. The checkpoint must
+/// capture each stream exactly at its position, so a fork neither
+/// replays nor skips references. A prime fork point is not a multiple of
+/// the core count, so no core stops on a round boundary.
 #[test]
-fn mid_batch_fork_is_bit_identical() {
+fn prime_boundary_fork_is_bit_identical() {
     let cfg = sweep_cfg();
-    // 10_007 is prime: not a multiple of the 64-ref default batch, of the
-    // core count, or of their product — every core stops mid-batch.
     let at = 10_007u64;
     for &scheme in &[SchemeKind::Native, SchemeKind::Pipm] {
         let master = run_prefix_one(Workload::Ycsb, scheme, cfg.clone(), &params(), at);
@@ -198,7 +196,7 @@ fn mid_batch_fork_is_bit_identical() {
         let base = run_one(Workload::Ycsb, scheme, cfg.clone(), &params());
         assert_eq!(
             base.stats, resumed.stats,
-            "{scheme:?}: mid-batch checkpoint round-trip must be invisible"
+            "{scheme:?}: checkpoint round-trip must be invisible"
         );
         let delta = CfgDelta {
             link_latency_ns: Some(150.0),
@@ -209,7 +207,7 @@ fn mid_batch_fork_is_bit_identical() {
             run_one_with_delta(Workload::Ycsb, scheme, cfg.clone(), &params(), at, &delta);
         assert_eq!(
             forked.stats, unforked.stats,
-            "{scheme:?}: mid-batch fork must equal inline delta"
+            "{scheme:?}: fork must equal inline delta"
         );
     }
 }

@@ -1,15 +1,13 @@
 //! Multi-node cluster tests for `pipm-serve` over loopback TCP.
 //!
-//! Covers the ISSUE 8 acceptance criteria: a router in front of three
-//! worker nodes returns byte-identical responses to a single-node
-//! daemon and to a direct in-process encoding; cache fills forwarded
-//! between peers make a job computed on node A a warm hit on node B
-//! (including `whatif` results, which skip the peer's checkpoint
-//! compute entirely); killing a node mid-cluster degrades to
-//! retry + local-fallback with correct canonical bytes; the open-loop
-//! benchmark produces deterministic schedules, fixture-checked
-//! percentiles, and monotone saturation-sweep rows; and the readiness
-//! loop holds hundreds of concurrent connections on one thread.
+//! A router in front of three worker nodes returns byte-identical
+//! responses to a single-node daemon and to a direct in-process
+//! encoding; a key routed twice is computed once in the whole cluster;
+//! killing a node mid-cluster degrades to retry + local-fallback with
+//! correct canonical bytes; the open-loop benchmark produces
+//! deterministic schedules, fixture-checked percentiles, and monotone
+//! saturation-sweep rows; and the readiness loop holds hundreds of
+//! concurrent connections on one thread.
 
 use pipm_core::{job_key, run_one};
 use pipm_serve::bench::{poisson_offsets, saturation_sweep};
@@ -36,9 +34,8 @@ struct Daemon {
 }
 
 impl Daemon {
-    /// Takes a bound server into its serve loop (two-phase so tests
-    /// can wire `set_peers` between bind and run).
-    fn run(server: Server) -> Daemon {
+    fn start(cfg: ServerConfig) -> Daemon {
+        let server = Server::bind(cfg).expect("bind loopback");
         let addr = server.local_addr().expect("local addr").to_string();
         let handle = server.shutdown_handle();
         let thread = std::thread::spawn(move || server.run());
@@ -47,10 +44,6 @@ impl Daemon {
             handle,
             thread,
         }
-    }
-
-    fn start(cfg: ServerConfig) -> Daemon {
-        Daemon::run(Server::bind(cfg).expect("bind loopback"))
     }
 
     fn client(&self) -> Client {
@@ -74,8 +67,8 @@ fn node_cfg() -> ServerConfig {
     }
 }
 
-/// A 3-node cluster with all-to-all fill forwarding and a router in
-/// front, every address loopback-ephemeral.
+/// An n-node cluster with a router in front, every address
+/// loopback-ephemeral.
 struct Cluster {
     nodes: Vec<Daemon>,
     node_addrs: Vec<String>,
@@ -84,24 +77,8 @@ struct Cluster {
 
 impl Cluster {
     fn start(n: usize) -> Cluster {
-        let servers: Vec<Server> = (0..n)
-            .map(|_| Server::bind(node_cfg()).expect("bind node"))
-            .collect();
-        let node_addrs: Vec<String> = servers
-            .iter()
-            .map(|s| s.local_addr().expect("node addr").to_string())
-            .collect();
-        // Every node pushes fresh computes to every other node.
-        for (i, server) in servers.iter().enumerate() {
-            let peers = node_addrs
-                .iter()
-                .enumerate()
-                .filter(|(j, _)| *j != i)
-                .map(|(_, a)| a.clone())
-                .collect();
-            server.set_peers(peers);
-        }
-        let nodes: Vec<Daemon> = servers.into_iter().map(Daemon::run).collect();
+        let nodes: Vec<Daemon> = (0..n).map(|_| Daemon::start(node_cfg())).collect();
+        let node_addrs: Vec<String> = nodes.iter().map(|d| d.addr.clone()).collect();
         let router = Daemon::start(ServerConfig {
             route_nodes: node_addrs.clone(),
             // Fast probes and retries keep the node-kill test brisk.
@@ -130,12 +107,6 @@ fn submit_line(workload: &str, scheme: &str, refs: u64, seed: u64) -> String {
     )
 }
 
-fn whatif_line(refs: u64, seed: u64, lat_ns: u64) -> String {
-    format!(
-        r#"{{"cmd":"whatif","jobs":[{{"workload":"bfs","scheme":"pipm","refs_per_core":{refs},"seed":{seed},"delta":{{"link_latency_ns":{lat_ns}}}}}]}}"#
-    )
-}
-
 fn metric(client: &mut Client, key: &str) -> u64 {
     let m = client
         .request_json(r#"{"cmd":"metrics"}"#)
@@ -146,7 +117,7 @@ fn metric(client: &mut Client, key: &str) -> u64 {
 }
 
 /// Polls a metric on `client` until `pred` holds or the deadline
-/// passes; fills are asynchronous, so peer-state assertions wait.
+/// passes; health changes are asynchronous, so those assertions wait.
 fn wait_for(client: &mut Client, key: &str, pred: impl Fn(u64) -> bool) -> u64 {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
@@ -215,66 +186,26 @@ fn router_responses_byte_identical_to_single_node_and_direct() {
     cluster.stop();
 }
 
-/// A job computed on node A becomes a warm, byte-identical hit on node
-/// B purely through fill forwarding — B never computes it.
+/// One compute per key: a job routed twice is computed by exactly one
+/// node the first time and answered from the router's own run cache the
+/// second time, with identical bytes.
 #[test]
-fn fills_make_peer_nodes_serve_warm_hits() {
+fn routed_repeat_computes_once_in_the_cluster() {
     let cluster = Cluster::start(3);
+    let mut via_router = cluster.router.client();
     let line = submit_line("cc", "pipm", REFS, SEED);
 
-    let mut on_a = cluster.nodes[0].client();
-    let computed = on_a.request(&line).expect("compute on node A");
-    assert_eq!(metric(&mut on_a, "cache_misses"), 1);
+    let first = via_router.request(&line).expect("cold routed submit");
+    let second = via_router.request(&line).expect("warm routed submit");
+    assert_eq!(first, second, "a repeat must return the same bytes");
+    assert_eq!(metric(&mut via_router, "cache_hits"), 1);
 
-    // The fill arrives asynchronously on every peer.
-    let mut on_b = cluster.nodes[1].client();
-    wait_for(&mut on_b, "cache_preloads", |v| v >= 1);
-    wait_for(&mut on_b, "fills_received", |v| v >= 1);
-    assert_eq!(
-        metric(&mut on_b, "cache_misses"),
-        0,
-        "node B must not have computed anything"
-    );
-
-    let served = on_b.request(&line).expect("warm submit on node B");
-    assert_eq!(served, computed, "filled bytes differ from computed bytes");
-    assert_eq!(
-        metric(&mut on_b, "cache_hits"),
-        1,
-        "node B must serve the fill as a pure hit"
-    );
-    assert_eq!(metric(&mut on_b, "cache_misses"), 0);
-
-    // A's forwarder reported the deliveries (2 peers x 1 entry).
-    let mut on_a = cluster.nodes[0].client();
-    let sent = wait_for(&mut on_a, "fills_sent", |v| v >= 2);
-    assert_eq!(metric(&mut on_a, "fills_send_failed"), 0, "sent={sent}");
-
-    cluster.stop();
-}
-
-/// `whatif` results forward like any other: node B serves the sweep
-/// point warm without ever computing the checkpoint prefix (checkpoints
-/// stay node-local; only the small encoded result travels).
-#[test]
-fn whatif_fills_skip_checkpoint_compute_on_peers() {
-    let cluster = Cluster::start(3);
-    let line = whatif_line(REFS, SEED, 150);
-
-    let mut on_a = cluster.nodes[0].client();
-    let computed = on_a.request(&line).expect("whatif on node A");
-    assert_eq!(metric(&mut on_a, "ckpt_cache_misses"), 1);
-
-    let mut on_b = cluster.nodes[1].client();
-    wait_for(&mut on_b, "cache_preloads", |v| v >= 1);
-    let served = on_b.request(&line).expect("warm whatif on node B");
-    assert_eq!(served, computed);
-    assert_eq!(
-        metric(&mut on_b, "ckpt_cache_misses"),
-        0,
-        "node B must never compute the warmed prefix"
-    );
-    assert_eq!(metric(&mut on_b, "cache_hits"), 1);
+    let node_misses: u64 = cluster
+        .nodes
+        .iter()
+        .map(|node| metric(&mut node.client(), "cache_misses"))
+        .sum();
+    assert_eq!(node_misses, 1, "exactly one node computes the key");
 
     cluster.stop();
 }

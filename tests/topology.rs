@@ -8,8 +8,7 @@
 //!    every device plane sees messages, and a switched graph accrues
 //!    switch hops — under every scheme.
 //! 2. Phased and multi-tenant workload streams are deterministic: same
-//!    seed ⇒ bit-identical `SystemStats`, independent of batch size and
-//!    worker fan-out.
+//!    seed ⇒ bit-identical `SystemStats`, independent of worker fan-out.
 //! 3. Both compose with checkpoint/fork: a forked warm prefix resumes to
 //!    statistics bit-identical to an uninterrupted run.
 
@@ -27,31 +26,17 @@ fn params() -> WorkloadParams {
     }
 }
 
-fn run_with_topology(
-    w: Workload,
-    scheme: SchemeKind,
-    topo: TopologySpec,
-    batch: Option<usize>,
-) -> SystemStats {
+fn run_with_topology(w: Workload, scheme: SchemeKind, topo: TopologySpec) -> SystemStats {
     let mut cfg = SystemConfig::default();
     cfg.apply_topology(topo);
     let streams = w.streams(&mut cfg, &params());
-    let mut sys = System::new(cfg, scheme);
-    if let Some(b) = batch {
-        sys.set_batch_size(b);
-    }
-    sys.run(streams, REFS_PER_CORE)
+    System::new(cfg, scheme).run(streams, REFS_PER_CORE)
 }
 
 #[test]
 fn multi_device_topology_spreads_traffic_across_planes() {
     for &scheme in SchemeKind::ALL.iter() {
-        let stats = run_with_topology(
-            Workload::Bfs,
-            scheme,
-            TopologySpec::multi_headed(4, 2),
-            None,
-        );
+        let stats = run_with_topology(Workload::Bfs, scheme, TopologySpec::multi_headed(4, 2));
         assert_eq!(stats.fabric.device_messages.len(), 2, "{scheme:?}");
         assert_eq!(stats.fabric.switch_hops, 0, "{scheme:?}: direct attach");
         if scheme == SchemeKind::LocalOnly {
@@ -80,12 +65,7 @@ fn switched_topology_accrues_switch_hops() {
     // inter-device hop counts (every host→device message crosses the
     // switch) and still distributes traffic to both devices.
     for &scheme in &[SchemeKind::Native, SchemeKind::Memtis, SchemeKind::Pipm] {
-        let stats = run_with_topology(
-            Workload::Ycsb,
-            scheme,
-            TopologySpec::switched(4, 2, 30.0),
-            None,
-        );
+        let stats = run_with_topology(Workload::Ycsb, scheme, TopologySpec::switched(4, 2, 30.0));
         assert!(
             stats.fabric.switch_hops > 0,
             "{scheme:?}: switched topology must count hops"
@@ -107,13 +87,11 @@ fn switched_latency_slows_execution() {
         Workload::Bfs,
         SchemeKind::Native,
         TopologySpec::multi_headed(4, 2),
-        None,
     );
     let switched = run_with_topology(
         Workload::Bfs,
         SchemeKind::Native,
         TopologySpec::switched(4, 2, 200.0),
-        None,
     );
     assert!(
         switched.exec_cycles() > direct.exec_cycles(),
@@ -124,56 +102,37 @@ fn switched_latency_slows_execution() {
 }
 
 #[test]
-fn multi_device_runs_are_deterministic_across_batch_sizes() {
-    let base = run_with_topology(
-        Workload::Bfs,
-        SchemeKind::Pipm,
-        TopologySpec::multi_headed(4, 2),
-        None,
-    );
-    for batch in [1usize, 64] {
-        let again = run_with_topology(
+fn multi_device_runs_are_deterministic() {
+    let run = || {
+        run_with_topology(
             Workload::Bfs,
             SchemeKind::Pipm,
             TopologySpec::multi_headed(4, 2),
-            Some(batch),
-        );
-        assert_eq!(base, again, "batch={batch} must be invisible");
-    }
+        )
+    };
+    assert_eq!(run(), run(), "same seed must reproduce bit-identically");
 }
 
 // ── Phased workloads ────────────────────────────────────────────────
 
-fn run_phased(scheme: SchemeKind, topo: TopologySpec, batch: Option<usize>) -> SystemStats {
+fn run_phased(scheme: SchemeKind, topo: TopologySpec) -> SystemStats {
     let mut cfg = SystemConfig::default();
     cfg.apply_topology(topo);
     let streams = PhasedWorkload::standard(Workload::Pr).streams(&mut cfg, &params());
-    let mut sys = System::new(cfg, scheme);
-    if let Some(b) = batch {
-        sys.set_batch_size(b);
-    }
-    sys.run(streams, REFS_PER_CORE)
+    System::new(cfg, scheme).run(streams, REFS_PER_CORE)
 }
 
 #[test]
-fn phased_runs_are_deterministic_and_batch_invariant() {
-    let base = run_phased(SchemeKind::Pipm, TopologySpec::single_device(4), None);
-    let again = run_phased(SchemeKind::Pipm, TopologySpec::single_device(4), None);
+fn phased_runs_are_deterministic() {
+    let base = run_phased(SchemeKind::Pipm, TopologySpec::single_device(4));
+    let again = run_phased(SchemeKind::Pipm, TopologySpec::single_device(4));
     assert_eq!(base, again, "same seed must reproduce bit-identically");
-    for batch in [1usize, 64] {
-        let b = run_phased(
-            SchemeKind::Pipm,
-            TopologySpec::single_device(4),
-            Some(batch),
-        );
-        assert_eq!(base, b, "batch={batch} must be invisible");
-    }
 }
 
 #[test]
 fn phased_checkpoint_fork_matches_uninterrupted_run() {
     let topo = TopologySpec::multi_headed(4, 2);
-    let uninterrupted = run_phased(SchemeKind::Pipm, topo.clone(), None);
+    let uninterrupted = run_phased(SchemeKind::Pipm, topo.clone());
 
     let mut cfg = SystemConfig::default();
     cfg.apply_topology(topo);
