@@ -106,15 +106,17 @@ fn main() {
         chk
     );
 
-    // ---- 2b. devdir-shaped probes: packed lanes vs pointer-chase ----
+    // ---- 2b. devdir-shaped probes: SetAssoc vs a bare Vec per set ---
     // 32768 sets x 16 ways, sparsely occupied (~64K entries), random
     // probe mix like the device directory sees: lookup / insert / remove.
+    // The baseline has no statistics or set mask, so the gap between the
+    // rows is what `SetAssoc`'s bookkeeping costs.
     {
-        struct OldStyle {
+        struct VecPerSet {
             sets: Vec<Vec<(u64, u64, u64)>>, // (key, meta, last_use)
             tick: u64,
         }
-        impl OldStyle {
+        impl VecPerSet {
             fn probe(&mut self, key: u64, op: u64) -> u64 {
                 let s = (key & 32767) as usize;
                 self.tick += 1;
@@ -169,24 +171,24 @@ fn main() {
             x ^= x << 17;
             seq.push((x % 65536, (x >> 20) % 3));
         }
-        let mut best_old = f64::INFINITY;
+        let mut best_base = f64::INFINITY;
         let mut best_new = f64::INFINITY;
-        let mut c_old = 0u64;
+        let mut c_base = 0u64;
         let mut c_new = 0u64;
         for _ in 0..REPEATS {
-            let mut old = OldStyle {
+            let mut base = VecPerSet {
                 sets: (0..32768).map(|_| Vec::new()).collect(),
                 tick: 0,
             };
             let t0 = Instant::now();
             let mut c = 0u64;
             for &(k, op) in &seq {
-                c = c.wrapping_add(old.probe(k, op));
+                c = c.wrapping_add(base.probe(k, op));
             }
-            best_old = best_old.min(t0.elapsed().as_nanos() as f64);
-            c_old = c;
+            best_base = best_base.min(t0.elapsed().as_nanos() as f64);
+            c_base = c;
 
-            let mut new: SetAssoc<u64, u64> = SetAssoc::new_sparse(32768, 16);
+            let mut new: SetAssoc<u64, u64> = SetAssoc::new(32768, 16);
             let t0 = Instant::now();
             let mut c = 0u64;
             for &(k, op) in &seq {
@@ -203,8 +205,8 @@ fn main() {
             c_new = c;
         }
         println!(
-            "devdir-oldstyle    : {:7.1} ns/op  (chk {c_old:x})",
-            best_old / seq.len() as f64
+            "devdir-vec-per-set : {:7.1} ns/op  (chk {c_base:x})",
+            best_base / seq.len() as f64
         );
         println!(
             "devdir-setassoc    : {:7.1} ns/op  (chk {c_new:x})",
@@ -214,7 +216,7 @@ fn main() {
 
     // ---- 3b. System-level path isolation ----------------------------
     // All-L1-hit run: every core spins on one private line, so after the
-    // first touch the whole run is the fused hit path + drive loop.
+    // first touch the whole run is the L1-hit path + drive loop.
     // Then a private-miss run cycling 4096 lines/core: L1 misses that hit
     // the LLC or local DRAM, no shared-scheme machinery.
     use pipm_core::System;

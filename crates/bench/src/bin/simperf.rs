@@ -18,8 +18,7 @@
 //! ```
 //!
 //! Options:
-//! * `--refs N`        references per core per run (default 40000,
-//!   env `PIPM_PERF_REFS`)
+//! * `--refs N`        references per core per run (default 40000)
 //! * `--seed N`        workload seed (default 7)
 //! * `--workloads a,b` comma-separated subset (default all 13,
 //!   env `PIPM_WORKLOADS`)
@@ -50,10 +49,7 @@ struct Record {
 }
 
 fn main() {
-    let mut refs_per_core: u64 = std::env::var("PIPM_PERF_REFS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(40_000);
+    let mut refs_per_core: u64 = 40_000;
     let mut seed: u64 = 7;
     let mut workloads: Vec<Workload> = match std::env::var("PIPM_WORKLOADS") {
         Ok(list) => parse_workloads(&list),

@@ -25,12 +25,6 @@
 //!   400 K refs/core; the EXPERIMENTS.md results use the default).
 //! * `PIPM_WORKLOADS` — comma-separated workload filter (default: all 13).
 //! * `PIPM_NO_CACHE` — ignore the on-disk result cache.
-//! * `PIPM_NO_FORK` — disable checkpoint forking for the parameter-sweep
-//!   figures (Fig. 14–17, threshold sweep): every sweep point re-runs its
-//!   warmed prefix from scratch instead of forking the shared
-//!   [`pipm_core::Checkpoint`]. Results are bit-identical either way
-//!   (asserted by `tests/checkpoint.rs` and this crate's tests); the knob
-//!   exists to measure the speedup and to bisect the fork path.
 //! * `PIPM_WORKERS` — worker-thread count (default: available
 //!   parallelism; non-numeric values warn and fall back).
 //! * `PIPM_QUIET` — suppress the per-run observability lines on stderr.
@@ -420,7 +414,6 @@ impl Harness {
         }
         let mut h = Harness::with_settings(refs, 0x51_57, cache_path, workers);
         h.quiet = env_flag(std::env::var("PIPM_QUIET").ok().as_deref());
-        h.no_fork = env_flag(std::env::var("PIPM_NO_FORK").ok().as_deref());
         h
     }
 
@@ -467,9 +460,10 @@ impl Harness {
         }
     }
 
-    /// Disables checkpoint forking for the sweep figures (the
-    /// `PIPM_NO_FORK` knob): every sweep point re-simulates its warmed
-    /// prefix from scratch. Results are bit-identical either way.
+    /// Disables checkpoint forking for the sweep figures: every sweep
+    /// point re-simulates its warmed prefix from scratch. Results are
+    /// bit-identical either way; tests use the unforked sweep as the
+    /// reference for the forked one.
     pub fn set_no_fork(&mut self, no_fork: bool) {
         self.no_fork = no_fork;
     }
@@ -617,8 +611,8 @@ impl Harness {
     /// [`Checkpoint`]; this point then forks the checkpoint and simulates
     /// only the measured tail under `delta`. Results are bit-identical
     /// to an uninterrupted run applying `delta` at the same boundary
-    /// (`tests/checkpoint.rs`), which is exactly what the `PIPM_NO_FORK`
-    /// knob falls back to.
+    /// (`tests/checkpoint.rs`), which is exactly what
+    /// [`Harness::set_no_fork`] falls back to.
     ///
     /// Sweep points live in their own cache namespace (`sweep-v1|…`):
     /// a sweep measurement is prefix-under-base + tail-under-delta, which

@@ -9,30 +9,13 @@
 //!
 //! # Layout
 //!
-//! Tags and recency live in flat, packed `u64` arrays (`sets × ways`
-//! lanes), so probing a set is a tight compare loop over contiguous
-//! lanes — branch-predictable and autovectorizable — instead of a
-//! pointer chase through per-way structs. Empty lanes hold a sentinel
-//! tag (`u64::MAX`, which no key projects to), so a probe scans the
-//! whole fixed-width set without first loading the set's occupancy: a
-//! miss touches *only* the tag lanes (one cache line for an 8-way set),
-//! never the payload vectors. The `(key, metadata, recency)` payloads
-//! live in per-set vectors whose lane order mirrors the tag lanes
-//! exactly; a set's occupancy is its payload vector's length. Recency
-//! rides in the payload tuple rather than a second packed array: probes
-//! only need it on a hit, when the payload line is loaded anyway, so a
-//! separate array would cost an extra cache miss per hit for nothing.
-//!
-//! Packed tags pay for themselves only when sets run dense and hot (an
-//! L1 probe scans 8 lanes in one resident cache line instead of chasing
-//! a payload pointer). For sparse giants — the 512 Ki-lane CXL device
-//! directory sits mostly empty, its sets holding a couple of entries —
-//! the fixed-width scan drags two *cold* tag lines into cache that the
-//! payload walk never needed, measurably doubling probe cost. Such
-//! structures should use [`SetAssoc::new_sparse`], which skips the tag
-//! array entirely and probes the payload tuples in place (the original
-//! layout). Both layouts maintain identical lane order, recency, and
-//! victim selection, so simulation results are bit-identical either way.
+//! Each set is one vector of `(key, metadata, last_use)` payloads; a
+//! probe compares keys in place, and a set's occupancy is its vector's
+//! length. The vectors are allocated on a set's first insert, so a
+//! large, mostly-empty structure (the 512 Ki-lane CXL device directory)
+//! costs one empty `Vec` header per set until hosts actually cache
+//! lines there. Recency rides in the payload tuple: probes only need it
+//! on a hit, when the payload is loaded anyway.
 //!
 //! # Example
 //!
@@ -60,15 +43,9 @@ use pipm_types::{LineAddr, PageNum};
 /// This trait is sealed in spirit: it is implemented for the address types
 /// used by the simulator ([`LineAddr`], [`PageNum`], and `u64`).
 ///
-/// `as_index` must be **injective**: two distinct keys must project to
-/// distinct integers, because the packed tag array compares projections
-/// in place of keys. It must also never return `u64::MAX`, which the tag
-/// array reserves as its empty-lane sentinel. All three implementations
-/// are raw-value identities over address-like values far below the
-/// sentinel, so both properties hold trivially.
+/// `as_index` only picks the set; probes compare the keys themselves.
 pub trait CacheKey: Copy + Eq + std::fmt::Debug {
-    /// A stable integer projection of the key, used for set selection and
-    /// tag comparison.
+    /// A stable integer projection of the key, used for set selection.
     fn as_index(self) -> u64;
 }
 
@@ -116,10 +93,6 @@ impl CacheStats {
     }
 }
 
-/// Sentinel tag marking an unoccupied lane. [`CacheKey::as_index`] is
-/// forbidden from producing this value, so empty lanes can never match.
-const EMPTY: u64 = u64::MAX;
-
 /// A set-associative, LRU-replaced tag structure with per-entry metadata.
 #[derive(Clone, Debug)]
 pub struct SetAssoc<K, M> {
@@ -129,18 +102,11 @@ pub struct SetAssoc<K, M> {
     /// the per-access set index is a mask instead of a hardware divide;
     /// `u64::MAX` sentinel otherwise (fall back to `%`).
     set_mask: u64,
-    /// Packed tag lanes, `sets × ways`; lane `s * ways + i` is valid for
-    /// `i < entries[s].len()`. Lanes past a set's occupancy hold the
-    /// [`EMPTY`] sentinel, which no key projects to, so a probe scans the
-    /// fixed set width without consulting the occupancy at all. Empty for
-    /// sparse-layout structures ([`Self::new_sparse`]), which probe the
-    /// payload tuples directly.
-    tags: Vec<u64>,
-    /// Per-set `(key, metadata, last_use)` payloads in tag-lane order. A
-    /// set's occupancy is its vector's length; payload storage is
-    /// allocated lazily on first insert (large, mostly-empty structures —
-    /// the CXL device directory is 512 Ki ways — would otherwise pay tens
-    /// of thousands of upfront allocations per simulated system).
+    /// Per-set `(key, metadata, last_use)` payloads. A set's occupancy is
+    /// its vector's length; payload storage is allocated lazily on first
+    /// insert (large, mostly-empty structures — the CXL device directory
+    /// is 512 Ki ways — would otherwise pay tens of thousands of upfront
+    /// allocations per simulated system).
     entries: Vec<Vec<(K, M, u64)>>,
     tick: u64,
     stats: CacheStats,
@@ -154,31 +120,6 @@ impl<K: CacheKey, M> SetAssoc<K, M> {
     /// Panics if `sets` or `ways` is zero.
     pub fn new(sets: usize, ways: usize) -> Self {
         assert!(sets > 0 && ways > 0, "cache geometry must be nonzero");
-        let lanes = sets.checked_mul(ways).expect("cache geometry overflow");
-        SetAssoc {
-            sets,
-            ways,
-            set_mask: if sets.is_power_of_two() {
-                sets as u64 - 1
-            } else {
-                u64::MAX
-            },
-            tags: vec![EMPTY; lanes],
-            entries: (0..sets).map(|_| Vec::new()).collect(),
-            tick: 0,
-            stats: CacheStats::default(),
-        }
-    }
-
-    /// Creates a structure with `sets` sets of `ways` ways, laid out for
-    /// structures expected to run mostly empty (e.g. the CXL device
-    /// directory, whose occupancy is bounded by what hosts actually
-    /// cache). Probes walk the per-set payload tuples directly instead of
-    /// a packed tag array, which is faster when a set holds a couple of
-    /// entries and its tag lines would be cold. Behaviorally identical to
-    /// [`Self::new`].
-    pub fn new_sparse(sets: usize, ways: usize) -> Self {
-        assert!(sets > 0 && ways > 0, "cache geometry must be nonzero");
         sets.checked_mul(ways).expect("cache geometry overflow");
         SetAssoc {
             sets,
@@ -188,7 +129,6 @@ impl<K: CacheKey, M> SetAssoc<K, M> {
             } else {
                 u64::MAX
             },
-            tags: Vec::new(),
             entries: (0..sets).map(|_| Vec::new()).collect(),
             tick: 0,
             stats: CacheStats::default(),
@@ -229,20 +169,10 @@ impl<K: CacheKey, M> SetAssoc<K, M> {
         }
     }
 
-    /// Scans one set's packed tag lanes for `tag`: a fixed-width compare
-    /// loop over the whole set (empty lanes hold [`EMPTY`] and cannot
-    /// match), so a miss touches only the tag array — no occupancy load,
-    /// no payload pointer chase.
+    /// Returns `key`'s lane in `set`, scanning the payloads in place.
     #[inline]
-    fn find_lane(&self, set: usize, tag: u64) -> Option<usize> {
-        debug_assert_ne!(tag, EMPTY, "key projects to the reserved sentinel");
-        if self.tags.is_empty() {
-            // Sparse layout: scan the payload tuples in place.
-            return self.entries[set].iter().position(|e| e.0.as_index() == tag);
-        }
-        let base = set * self.ways;
-        let lanes = &self.tags[base..base + self.ways];
-        lanes.iter().position(|&t| t == tag)
+    fn find_lane(&self, set: usize, key: K) -> Option<usize> {
+        self.entries[set].iter().position(|e| e.0 == key)
     }
 
     /// Looks up `key`, updating recency and hit/miss statistics. Returns a
@@ -251,13 +181,11 @@ impl<K: CacheKey, M> SetAssoc<K, M> {
     pub fn lookup(&mut self, key: K) -> Option<&mut M> {
         self.tick += 1;
         let tick = self.tick;
-        let tag = key.as_index();
-        let set = self.set_of(tag);
-        match self.find_lane(set, tag) {
+        let set = self.set_of(key.as_index());
+        match self.find_lane(set, key) {
             Some(i) => {
                 self.stats.hits += 1;
                 let e = &mut self.entries[set][i];
-                debug_assert_eq!(e.0, key, "tag collision: as_index not injective");
                 e.2 = tick;
                 Some(&mut e.1)
             }
@@ -271,17 +199,15 @@ impl<K: CacheKey, M> SetAssoc<K, M> {
     /// Reads `key` without updating recency or statistics.
     #[inline]
     pub fn peek(&self, key: K) -> Option<&M> {
-        let tag = key.as_index();
-        let set = self.set_of(tag);
-        self.find_lane(set, tag).map(|i| &self.entries[set][i].1)
+        let set = self.set_of(key.as_index());
+        self.find_lane(set, key).map(|i| &self.entries[set][i].1)
     }
 
     /// Mutates `key`'s metadata without updating recency or statistics.
     #[inline]
     pub fn peek_mut(&mut self, key: K) -> Option<&mut M> {
-        let tag = key.as_index();
-        let set = self.set_of(tag);
-        self.find_lane(set, tag)
+        let set = self.set_of(key.as_index());
+        self.find_lane(set, key)
             .map(|i| &mut self.entries[set][i].1)
     }
 
@@ -291,11 +217,9 @@ impl<K: CacheKey, M> SetAssoc<K, M> {
     pub fn insert(&mut self, key: K, meta: M) -> Option<(K, M)> {
         self.tick += 1;
         let tick = self.tick;
-        let tag = key.as_index();
-        let set = self.set_of(tag);
+        let set = self.set_of(key.as_index());
         let ways = self.ways;
-        let base = set * ways;
-        if let Some(i) = self.find_lane(set, tag) {
+        if let Some(i) = self.find_lane(set, key) {
             let e = &mut self.entries[set][i];
             e.1 = meta;
             e.2 = tick;
@@ -307,9 +231,6 @@ impl<K: CacheKey, M> SetAssoc<K, M> {
                 self.entries[set].reserve_exact(ways);
             }
             self.entries[set].push((key, meta, tick));
-            if !self.tags.is_empty() {
-                self.tags[base + len] = tag;
-            }
             return None;
         }
         // Evict LRU: a forward first-minimum scan over the set's recency
@@ -324,37 +245,22 @@ impl<K: CacheKey, M> SetAssoc<K, M> {
                 victim = i;
             }
         }
-        // Mirror `Vec::swap_remove + push` in the packed tag lanes so lane
-        // order evolves identically to the payload vector.
-        if !self.tags.is_empty() {
-            let last = ways - 1;
-            self.tags[base + victim] = self.tags[base + last];
-            self.tags[base + last] = tag;
-        }
         let old = self.entries[set].swap_remove(victim);
         self.entries[set].push((key, meta, tick));
         self.stats.evictions += 1;
         Some((old.0, old.1))
     }
 
-    /// Removes lane `i` of `set`, keeping tag/recency lanes and the payload
-    /// vector in mirrored `swap_remove` order.
+    /// Removes lane `i` of `set` (`swap_remove` order).
     fn remove_lane(&mut self, set: usize, i: usize) -> (K, M) {
-        if !self.tags.is_empty() {
-            let base = set * self.ways;
-            let last = self.entries[set].len() - 1;
-            self.tags[base + i] = self.tags[base + last];
-            self.tags[base + last] = EMPTY;
-        }
         let e = self.entries[set].swap_remove(i);
         (e.0, e.1)
     }
 
     /// Removes `key`, returning its metadata if present.
     pub fn invalidate(&mut self, key: K) -> Option<M> {
-        let tag = key.as_index();
-        let set = self.set_of(tag);
-        let i = self.find_lane(set, tag)?;
+        let set = self.set_of(key.as_index());
+        let i = self.find_lane(set, key)?;
         Some(self.remove_lane(set, i).1)
     }
 
@@ -488,8 +394,7 @@ mod tests {
     #[test]
     fn zero_key_does_not_false_hit() {
         // A key whose projection is zero must miss until actually
-        // inserted, and lanes past a set's occupancy must never match
-        // (they hold the EMPTY sentinel, not zero).
+        // inserted, and lanes past a set's occupancy must never match.
         let mut c: SetAssoc<u64, u32> = SetAssoc::new(2, 4);
         assert!(c.lookup(0).is_none());
         assert!(c.peek(0).is_none());
@@ -560,27 +465,8 @@ mod tests {
             }
         }
 
-        /// The packed-tag and sparse layouts are observationally identical:
-        /// same hits, same evictions, same victims, under any op sequence.
-        #[test]
-        fn prop_sparse_matches_packed(ops in proptest::collection::vec((0u8..4, 0u64..48), 1..300)) {
-            let mut packed: SetAssoc<u64, u64> = SetAssoc::new(2, 3);
-            let mut sparse: SetAssoc<u64, u64> = SetAssoc::new_sparse(2, 3);
-            for (op, key) in ops {
-                match op {
-                    0 => prop_assert_eq!(packed.insert(key, key * 3), sparse.insert(key, key * 3)),
-                    1 => prop_assert_eq!(packed.lookup(key).map(|m| *m), sparse.lookup(key).map(|m| *m)),
-                    2 => prop_assert_eq!(packed.invalidate(key), sparse.invalidate(key)),
-                    _ => prop_assert_eq!(packed.peek(key), sparse.peek(key)),
-                }
-            }
-            prop_assert_eq!(packed.stats(), sparse.stats());
-            prop_assert_eq!(packed.len(), sparse.len());
-        }
-
-        /// Tag-lane bookkeeping stays consistent with the payload vectors
-        /// under arbitrary interleaved insert/invalidate/lookup traffic:
-        /// a shadow model over a plain Vec must agree on every probe.
+        /// Under arbitrary interleaved insert/invalidate/lookup traffic, a
+        /// shadow model over a plain Vec must agree on every probe.
         #[test]
         fn prop_matches_shadow_model(ops in proptest::collection::vec((0u8..4, 0u64..48), 1..300)) {
             let mut c: SetAssoc<u64, u64> = SetAssoc::new(2, 3);

@@ -68,11 +68,11 @@ impl DeviceDirectory {
     /// slices; slices are folded into the set count since they are
     /// address-interleaved).
     pub fn new(cfg: &DirectoryConfig) -> Self {
-        // Sparse layout: directory occupancy is bounded by what hosts
-        // actually cache (tens of K lines), a fraction of its 512 Ki-lane
-        // capacity, so inline payload probes beat cold packed-tag scans.
+        // Occupancy is bounded by what hosts actually cache (tens of K
+        // lines), a fraction of the 512 Ki-lane capacity; `SetAssoc`
+        // allocates a set's payload only on its first insert.
         DeviceDirectory {
-            entries: SetAssoc::new_sparse(cfg.sets_per_slice * cfg.slices, cfg.ways),
+            entries: SetAssoc::new(cfg.sets_per_slice * cfg.slices, cfg.ways),
         }
     }
 

@@ -165,7 +165,7 @@ fn clamp_worker_budget(requested: usize, available: usize) -> (usize, Option<Str
     }
 }
 
-/// Applies [`clamp_worker_budget`] against `available_parallelism`,
+/// Applies `clamp_worker_budget` against `available_parallelism`,
 /// printing the warning at most once per process (the same warn-once
 /// convention as the env-parsing helpers). Public so every thread pool
 /// driven by `PIPM_WORKERS` — [`run_many`], [`run_spec_many`], and the

@@ -812,7 +812,7 @@ impl System {
                     *live -= 1;
                     break;
                 };
-                self.step_core(ci, rec, rec.addr.line());
+                self.step_core(ci, rec);
                 let c = self.cores[ci].clock();
                 clocks[ci] = c;
                 if self.processed >= stop_after {
@@ -857,90 +857,13 @@ impl System {
         // threshold is a build-time parameter, not a sweepable one.)
     }
 
-    /// Drives one reference through the core and memory system. `line` is
-    /// `rec.addr.line()`, decoded once by the caller.
-    ///
-    /// The dominant case — no kernel interval due, no warm-up boundary, no
-    /// invariant epoch, no oracle, and an L1 hit — runs a fused inline
-    /// path that performs exactly the state mutations of the general path,
-    /// in the same order, without the epoch bookkeeping calls or the
-    /// `mem_access` dispatch. Every other reference (slow-path events:
-    /// misses, migrations, coherence upgrades, epoch boundaries) falls
-    /// back to the fully general scalar path. The guards are evaluated
-    /// before any state moves, so the fallback replays nothing.
+    /// Drives one reference through the core and memory system: interval
+    /// and warm-up bookkeeping, the invariant epoch check, compute time,
+    /// the one L1 probe (LRU recency and hit/miss statistics update here),
+    /// core resource reservation, then either the L1-hit path or the full
+    /// memory-system dispatch.
     #[inline]
-    fn step_core(&mut self, ci: usize, rec: TraceRecord, line: LineAddr) {
-        let interval_due = matches!(
-            &self.scheme,
-            SchemeState::Kernel(k) if self.cores[ci].clock() >= k.next_interval
-        );
-        let warmup_due = !self.warmed && self.processed >= self.warmup_refs;
-        let epoch_due = INLINE_CHECKS && (self.processed + 1).is_multiple_of(INVARIANT_EPOCH);
-        if interval_due || warmup_due || epoch_due || self.oracle.is_some() {
-            return self.step_core_slow(ci, rec);
-        }
-
-        self.processed += 1;
-        self.cores[ci].advance_compute(rec.nonmem);
-        let hi = ci / self.cfg.cores_per_host;
-        let li = ci % self.cfg.cores_per_host;
-        // The one L1 probe for this reference: LRU recency and hit/miss
-        // statistics update here, exactly as in the general path.
-        let l1_hit = self.hosts[hi].l1[li].lookup(line).is_some();
-        if !l1_hit {
-            return self.step_mem_general(ci, rec, false);
-        }
-        {
-            let stats = &mut self.stats.cores[ci];
-            let core = &mut self.cores[ci];
-            core.reserve_slot(rec.is_write, &mut |class, cycles| {
-                stats.record_stall(class, cycles)
-            });
-        }
-        let now = self.cores[ci].clock();
-        let mut done = now + self.cfg.l1d.hit_latency;
-        let mut class = AccessClass::L1Hit;
-        let mut queued = 0;
-        if rec.is_write {
-            if let Some(meta) = self.hosts[hi].l1[li].peek_mut(line) {
-                meta.dirty = true;
-            }
-            // Write propagates to the LLC state machine: S lines need an
-            // upgrade even on an L1 hit.
-            let needs_upgrade = matches!(
-                self.hosts[hi].llc.peek(line),
-                Some(LlcMeta {
-                    state: LState::S,
-                    ..
-                })
-            );
-            if needs_upgrade {
-                let (d, c, q) = self.upgrade_shared(hi, line, now);
-                if let Some(m) = self.hosts[hi].llc.peek_mut(line) {
-                    m.dirty = true;
-                }
-                done = d;
-                class = c;
-                queued = q;
-            } else if let Some(m) = self.hosts[hi].llc.peek_mut(line) {
-                m.dirty = true;
-                if m.state == LState::E {
-                    m.state = LState::M;
-                    self.promote_devdir_owner(line);
-                }
-            }
-        }
-        let latency = done - now;
-        self.cores[ci].issue(done, class, rec.is_write);
-        let stats = &mut self.stats.cores[ci];
-        stats.record_access(class, latency);
-        stats.transfer_stall += queued;
-    }
-
-    /// The general path: epoch/warm-up/interval bookkeeping plus the full
-    /// memory-system dispatch, for every reference whose guards fire; the
-    /// fused path above is a pure specialization of it.
-    fn step_core_slow(&mut self, ci: usize, rec: TraceRecord) {
+    fn step_core(&mut self, ci: usize, rec: TraceRecord) {
         self.maybe_interval(self.cores[ci].clock());
         self.maybe_warmup();
         self.processed += 1;
@@ -951,22 +874,14 @@ impl System {
         self.cores[ci].advance_compute(rec.nonmem);
         let hi = ci / self.cfg.cores_per_host;
         let li = ci % self.cfg.cores_per_host;
-        // The one L1 probe for this reference: LRU recency and hit/miss
-        // statistics update here; `mem_access` receives the result instead
-        // of probing again.
-        let l1_hit = self.hosts[hi].l1[li].lookup(rec.addr.line()).is_some();
-        self.step_mem_general(ci, rec, l1_hit);
-    }
-
-    /// Reserves core resources and dispatches the memory access; shared by
-    /// the slow path (any hit/miss) and the fast path's miss case.
-    fn step_mem_general(&mut self, ci: usize, rec: TraceRecord, l1_hit: bool) {
+        let line = rec.addr.line();
+        let hit = self.hosts[hi].l1[li].lookup(line).is_some();
         {
             let stats = &mut self.stats.cores[ci];
             let core = &mut self.cores[ci];
             // Accesses that left the L1 need an MSHR; this bounds the
             // memory-system burst depth like real miss queues do.
-            if !l1_hit {
+            if !hit {
                 core.reserve_mshr(&mut |class, cycles| stats.record_stall(class, cycles));
             }
             core.reserve_slot(rec.is_write, &mut |class, cycles| {
@@ -974,7 +889,11 @@ impl System {
             });
         }
         let now = self.cores[ci].clock();
-        let (done, class, queued_mig) = self.mem_access(ci, rec.addr, rec.is_write, l1_hit, now);
+        let (done, class, queued_mig) = if hit {
+            self.l1_hit(hi, li, line, rec.is_write, now)
+        } else {
+            self.mem_access(ci, rec.addr, rec.is_write, now)
+        };
         let latency = done - now;
         self.cores[ci].issue(done, class, rec.is_write);
         let stats = &mut self.stats.cores[ci];
@@ -985,6 +904,7 @@ impl System {
         // every reference.
     }
 
+    #[inline]
     fn maybe_warmup(&mut self) {
         if !self.warmed && self.processed >= self.warmup_refs {
             self.warmed = true;
@@ -1043,59 +963,62 @@ impl System {
     // Memory access paths
     // ------------------------------------------------------------------
 
-    /// Performs one memory reference for core `ci`, returning
-    /// `(completion_cycle, class, migration-queued cycles)`.
+    /// An L1 hit for core `(hi, li)`; the probe itself (recency and
+    /// statistics) already happened in `step_core`. Writes dirty the L1
+    /// copy and propagate to the LLC state machine: S lines need an
+    /// upgrade even on an L1 hit, E lines move silently to M.
+    fn l1_hit(
+        &mut self,
+        hi: usize,
+        li: usize,
+        line: LineAddr,
+        is_write: bool,
+        now: Cycle,
+    ) -> (Cycle, AccessClass, Cycle) {
+        if is_write {
+            if let Some(meta) = self.hosts[hi].l1[li].peek_mut(line) {
+                meta.dirty = true;
+            }
+            let needs_upgrade = matches!(
+                self.hosts[hi].llc.peek(line),
+                Some(LlcMeta {
+                    state: LState::S,
+                    ..
+                })
+            );
+            if needs_upgrade {
+                // `upgrade_shared` marks the LLC line M + dirty and runs
+                // the oracle hooks.
+                return self.upgrade_shared(hi, line, now);
+            }
+            if let Some(m) = self.hosts[hi].llc.peek_mut(line) {
+                m.dirty = true;
+                if m.state == LState::E {
+                    m.state = LState::M;
+                }
+            }
+        }
+        if let Some(o) = self.oracle.as_mut() {
+            o.cache_hit(hi, line);
+            if is_write {
+                o.write_applied(hi, line);
+            }
+        }
+        (now + self.cfg.l1d.hit_latency, AccessClass::L1Hit, 0)
+    }
+
+    /// Performs one memory reference that missed core `ci`'s L1,
+    /// returning `(completion_cycle, class, migration-queued cycles)`.
     fn mem_access(
         &mut self,
         ci: usize,
         addr: Addr,
         is_write: bool,
-        l1_hit: bool,
         now: Cycle,
     ) -> (Cycle, AccessClass, Cycle) {
         let hi = ci / self.cfg.cores_per_host;
         let li = ci % self.cfg.cores_per_host;
         let line = addr.line();
-
-        // L1 hit (the probe itself — recency + statistics — happened in
-        // `step_core`; reads re-probe nothing on this path).
-        if l1_hit {
-            if is_write {
-                if let Some(meta) = self.hosts[hi].l1[li].peek_mut(line) {
-                    meta.dirty = true;
-                }
-                // Write propagates to the LLC state machine: S lines need
-                // an upgrade even on an L1 hit.
-                let needs_upgrade = matches!(
-                    self.hosts[hi].llc.peek(line),
-                    Some(LlcMeta {
-                        state: LState::S,
-                        ..
-                    })
-                );
-                if needs_upgrade {
-                    let (done, class, q) = self.upgrade_shared(hi, line, now);
-                    if let Some(m) = self.hosts[hi].llc.peek_mut(line) {
-                        m.dirty = true;
-                    }
-                    return (done, class, q);
-                }
-                if let Some(m) = self.hosts[hi].llc.peek_mut(line) {
-                    m.dirty = true;
-                    if m.state == LState::E {
-                        m.state = LState::M;
-                        self.promote_devdir_owner(line);
-                    }
-                }
-            }
-            if let Some(o) = self.oracle.as_mut() {
-                o.cache_hit(hi, line);
-                if is_write {
-                    o.write_applied(hi, line);
-                }
-            }
-            return (now + self.cfg.l1d.hit_latency, AccessClass::L1Hit, 0);
-        }
 
         // LLC lookup.
         if let Some(meta) = self.hosts[hi].llc.lookup(line).copied() {
@@ -1115,7 +1038,6 @@ impl System {
                             m.state = LState::M;
                             m.dirty = true;
                         }
-                        self.promote_devdir_owner(line);
                     }
                     LState::M | LState::Me => {
                         if let Some(m) = self.hosts[hi].llc.peek_mut(line) {
@@ -1245,11 +1167,6 @@ impl System {
         queued += down.queued_behind_migration;
         (down.at, AccessClass::CxlDram, queued)
     }
-
-    /// Records an E→M transition at the device directory (silent in
-    /// hardware; our directory already stores "owner", so nothing to do —
-    /// kept as a named hook for clarity and tests).
-    fn promote_devdir_owner(&mut self, _line: LineAddr) {}
 
     /// Shared-data access resolved through the CXL device directory (the
     /// Native path; also the backend for kernel-scheme CXL-resident pages
@@ -2048,17 +1965,17 @@ impl System {
     // ------------------------------------------------------------------
 
     /// Fires interval processing for kernel schemes when the global clock
-    /// crosses the next boundary.
+    /// crosses the next boundary. The check runs on every reference; the
+    /// scheme swap in `run_intervals` only when an interval is due.
+    #[inline]
     fn maybe_interval(&mut self, now: Cycle) {
-        // Fast path: nothing to do this reference. Checked before the
-        // scheme swap below — moving the whole `SchemeState` in and out
-        // on every reference is a measurable per-access cost.
-        let SchemeState::Kernel(k) = &self.scheme else {
-            return;
-        };
-        if now < k.next_interval {
-            return;
+        if matches!(&self.scheme, SchemeState::Kernel(k) if now >= k.next_interval) {
+            self.run_intervals(now);
         }
+    }
+
+    #[cold]
+    fn run_intervals(&mut self, now: Cycle) {
         let mut scheme = std::mem::replace(&mut self.scheme, SchemeState::Native);
         if let SchemeState::Kernel(k) = &mut scheme {
             while now >= k.next_interval {

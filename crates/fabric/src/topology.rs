@@ -1,7 +1,8 @@
 //! Rack-scale topology engine: a graph of hosts, switches, and devices
 //! executed over busy-until links.
 //!
-//! The [`Topology`] executes the graph a [`TopologySpec`] declares:
+//! The [`Topology`] executes the graph a [`pipm_types::TopologySpec`]
+//! declares:
 //!
 //! * **Direct hosts** hold one dedicated full-duplex link per device (a
 //!   *plane* per device, one link per host). With one device this is

@@ -21,7 +21,7 @@
 //!   cluster. It health-probes the nodes and falls back to local
 //!   compute when a node dies — a kill costs latency, never
 //!   correctness.
-//! - **Client** ([`client`], [`bench`]): a thin line-oriented client
+//! - **Client** ([`client`], [`mod@bench`]): a thin line-oriented client
 //!   and an open-loop Poisson benchmark (latency percentiles,
 //!   saturation sweep) used by the `pipm-client` binary and the CI
 //!   smoke tests.

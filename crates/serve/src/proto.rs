@@ -14,15 +14,14 @@
 //!
 //! `whatif` is the checkpointed-sweep form of `submit`: each job names a
 //! base configuration (same fields as `submit`, with `warmup_fraction`
-//! pinned to [`SWEEP_WARMUP_FRACTION`](pipm_core::SWEEP_WARMUP_FRACTION))
-//! plus a required `delta` object restricted to the late-binding
-//! [`CfgDelta`] keys ([`DELTA_KEYS`]). The daemon simulates the shared
-//! warmed prefix once per base — cached as a
-//! [`Checkpoint`](pipm_core::Checkpoint) keyed by
-//! [`checkpoint_key`](pipm_core::checkpoint_key) — and only the measured
-//! tail per delta, so a K-point sweep against one base costs
-//! O(prefix + K·tail) instead of O(K·run). Results are byte-identical to
-//! the equivalent unforked full run under the same split.
+//! pinned to [`pipm_core::SWEEP_WARMUP_FRACTION`]) plus a required
+//! `delta` object restricted to the late-binding [`CfgDelta`] keys
+//! ([`DELTA_KEYS`]). The daemon simulates the shared warmed prefix once
+//! per base — cached as a [`Checkpoint`](pipm_core::Checkpoint) keyed by
+//! [`pipm_core::checkpoint_key`] — and only the measured tail per delta,
+//! so a K-point sweep against one base costs O(prefix + K·tail) instead
+//! of O(K·run). Results are byte-identical to the equivalent unforked
+//! full run under the same split.
 //!
 //! Responses are single-line JSON objects with an `ok` field. Failures
 //! are *structured*: `{"ok":false,"error":{"kind":...,"detail":...}}`

@@ -52,7 +52,7 @@ fn ring_hash(s: &str) -> u64 {
 
 /// A consistent-hash ring over node addresses.
 ///
-/// Each node contributes [`VNODES`] points (FNV-1a of `addr|vnode=i`);
+/// Each node contributes `VNODES` points (FNV-1a of `addr|vnode=i`);
 /// a key is owned by the first point clockwise of the key's own hash.
 pub struct HashRing {
     nodes: Vec<String>,

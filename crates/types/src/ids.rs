@@ -79,12 +79,9 @@ impl fmt::Display for CoreId {
 pub struct HostSet(u32);
 
 impl HostSet {
-    /// The empty host set.
-    pub const EMPTY: HostSet = HostSet(0);
-
     /// Creates an empty host set.
     pub fn new() -> Self {
-        Self::EMPTY
+        HostSet(0)
     }
 
     /// Creates a set containing a single host.

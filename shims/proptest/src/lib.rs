@@ -20,7 +20,7 @@
 //!   always reproduce.
 //! * **Greedy shrinking**: when a case fails (via `prop_assert*` or a
 //!   panic inside the property body), the runner repeatedly re-runs the
-//!   property on [`Strategy::shrink`] candidates, keeping any candidate
+//!   property on [`strategy::Strategy::shrink`] candidates, keeping any candidate
 //!   that still fails, until no candidate fails (or a step budget is
 //!   exhausted). The panic message reports both the original failing case
 //!   and the shrunken minimal input, which can be pinned as a regression

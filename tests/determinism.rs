@@ -3,9 +3,9 @@
 //! same qualitative behaviour.
 
 use pipm_bench::{Harness, RunSpec};
-use pipm_core::{run_many, run_one, run_spec_many, RunJob, SpecJob};
+use pipm_core::{run_many, run_one, run_spec_many, run_spec_one, RunJob, SpecJob, System};
 use pipm_types::{SchemeKind, SystemConfig};
-use pipm_workloads::{FuzzSpec, Workload, WorkloadParams};
+use pipm_workloads::{FuzzPattern, FuzzSpec, Workload, WorkloadParams};
 
 #[test]
 fn identical_runs_are_bit_identical() {
@@ -135,6 +135,30 @@ fn fuzz_specs_are_bit_identical_across_workers_and_repeats() {
             "{} {}: repeated run differs",
             a.spec, a.scheme
         );
+    }
+}
+
+#[test]
+fn oracle_attached_run_matches_plain_run() {
+    // `run_spec_one` attaches the functional oracle; its contract is that
+    // the oracle only does bookkeeping, so the statistics must equal a
+    // plain `System::run` of the same spec under every scheme and every
+    // fuzz pattern. 6 000 refs/core crosses at least one invariant epoch.
+    for pattern in FuzzPattern::ALL {
+        let spec = FuzzSpec {
+            pattern,
+            ..FuzzSpec::from_draw(0, 48, 30, 40, 0x0a11, 6_000)
+        };
+        for scheme in SchemeKind::ALL {
+            let attached = run_spec_one(&spec, scheme, FuzzSpec::base_config());
+            let mut cfg = FuzzSpec::base_config();
+            let streams = spec.streams(&mut cfg);
+            let plain = System::new(cfg, scheme).run(streams, spec.refs_per_core);
+            assert_eq!(
+                attached.stats, plain,
+                "{spec} {scheme}: attaching the oracle changed the statistics"
+            );
+        }
     }
 }
 
