@@ -1,313 +1,307 @@
-//! `pipm-bench` reporting: turns the append-per-commit
-//! `BENCH_simperf.json` trajectory and captured figure tables into
-//! committed CSV + SVG artifacts under `docs/bench/`.
+//! `pipm-bench` reporting: the A/B comparison of two sets of
+//! `perfbench` runs, and the committed CSV + SVG charts of captured
+//! figure tables and serving sweeps under `docs/bench/`.
 //!
 //! Everything here is a pure function of its input text: no clocks, no
 //! map-iteration order, fixed float formatting — the `report` bin must
 //! regenerate byte-identical artifacts from the same inputs (a golden
 //! test diffs them), so the charts can live in git and a stale chart
 //! shows up as a diff rather than silently drifting.
-//!
-//! Artifacts per run:
-//!
-//! | file                 | contents                                        |
-//! |----------------------|-------------------------------------------------|
-//! | `simperf_trend.csv`  | per-commit × per-scheme geomean refs/s          |
-//! | `simperf_trend.svg`  | the same, as a line chart (one line per scheme) |
-//! | `simperf_delta.csv`  | consecutive-commit A/B: ratio + permutation p   |
-//! | `simperf_latest.svg` | latest commit's per-scheme geomean, bar chart   |
-//! | `<figure>.svg`       | per-column geomean bar chart of a captured CSV  |
 
-use crate::stats::{paired_permutation_test, PairedPermutation};
+use crate::stats::paired_permutation_test;
 use crate::svg;
-
-/// One decoded `BENCH_simperf.json` row.
-#[derive(Clone, Debug)]
-pub struct SimperfRow {
-    /// Short commit hash the row was measured at.
-    pub commit: String,
-    /// UTC date of the measurement.
-    pub date: String,
-    /// Scheme label (`Pipm`, `Native`, …).
-    pub scheme: String,
-    /// Workload label (`BFS`, `YCSB`, …).
-    pub workload: String,
-    /// Simulated references per wall-clock second.
-    pub refs_per_sec: f64,
-}
-
-/// All rows of one commit's block, in file order.
-#[derive(Clone, Debug)]
-pub struct CommitBlock {
-    /// Short commit hash.
-    pub commit: String,
-    /// UTC date of the block's first row.
-    pub date: String,
-    /// The block's rows.
-    pub rows: Vec<SimperfRow>,
-}
+use pipm_serve::json::{self, Json};
 
 /// One artifact to write: `name` is relative to the output directory.
 #[derive(Clone, Debug)]
 pub struct ReportFile {
-    /// File name (e.g. `simperf_trend.csv`).
+    /// File name (e.g. `ab.csv`).
     pub name: String,
     /// Full file contents.
     pub contents: String,
 }
 
-/// Minimal field extractor for the line-per-record JSON `simperf`
-/// writes (shared with the `simperf` bin's trajectory maintenance).
-pub fn json_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    if let Some(stripped) = rest.strip_prefix('"') {
-        stripped.split('"').next()
-    } else {
-        rest.split([',', '}']).next().map(str::trim)
-    }
+// ── A/B over perfbench runs ─────────────────────────────────────────
+//
+// `report ab PARENT.jsonl CHANGE.jsonl` reads the last stdout line of
+// each perfbench run, one run per line; line i of both files is pair i.
+
+/// A metric as `BENCHMARK.json` declares it.
+#[derive(Clone, Debug)]
+pub struct Declared {
+    /// Metric name.
+    pub name: String,
+    /// Unit label.
+    pub unit: String,
+    /// `"better": "higher"`.
+    pub higher_is_better: bool,
+    /// Largest tolerated relative worsening of the median; `None`, and
+    /// so no verdict, for the per-layer metrics.
+    pub bound: Option<f64>,
 }
 
-/// Decodes a `BENCH_simperf.json` trajectory (lines that are not row
-/// objects, e.g. the array brackets, are skipped).
-pub fn parse_simperf(text: &str) -> Vec<SimperfRow> {
-    text.lines()
-        .map(str::trim)
-        .filter(|l| l.starts_with('{'))
-        .filter_map(|l| {
-            Some(SimperfRow {
-                commit: json_field(l, "commit")?.to_string(),
-                date: json_field(l, "date")?.to_string(),
-                scheme: json_field(l, "scheme")?.to_string(),
-                workload: json_field(l, "workload")?.to_string(),
-                refs_per_sec: json_field(l, "refs_per_sec")?.parse().ok()?,
-            })
-        })
-        .collect()
-}
-
-/// Groups rows into per-commit blocks, in first-appearance order (the
-/// file is append-per-commit, so this is chronological order).
-pub fn commit_blocks(rows: &[SimperfRow]) -> Vec<CommitBlock> {
-    let mut blocks: Vec<CommitBlock> = Vec::new();
-    for row in rows {
-        match blocks.iter_mut().find(|b| b.commit == row.commit) {
-            Some(b) => b.rows.push(row.clone()),
-            None => blocks.push(CommitBlock {
-                commit: row.commit.clone(),
-                date: row.date.clone(),
-                rows: vec![row.clone()],
-            }),
-        }
-    }
-    blocks
-}
-
-/// Pairs `(base, test)` refs/s by `(scheme, workload)` cell — the
-/// input to the paired permutation test. `scheme: Some(..)` restricts
-/// the pairing to one scheme's rows.
-pub fn pair_blocks(
-    base: &[SimperfRow],
-    test: &[SimperfRow],
-    scheme: Option<&str>,
-) -> Vec<(f64, f64)> {
-    test.iter()
-        .filter(|r| scheme.is_none_or(|s| r.scheme == s))
-        .filter_map(|r| {
-            base.iter()
-                .find(|b| b.scheme == r.scheme && b.workload == r.workload)
-                .map(|b| (b.refs_per_sec, r.refs_per_sec))
-        })
-        .collect()
-}
-
-/// Builds every simperf-derived artifact from the trajectory text.
-pub fn generate(simperf_json: &str) -> Result<Vec<ReportFile>, String> {
-    let rows = parse_simperf(simperf_json);
-    if rows.is_empty() {
-        return Err("no simperf rows in input".to_string());
-    }
-    let blocks = commit_blocks(&rows);
-    // Scheme order: first appearance across the whole file, so the CSV
-    // and the chart legend are stable as commits accumulate.
-    let mut schemes: Vec<String> = Vec::new();
-    for row in &rows {
-        if !schemes.contains(&row.scheme) {
-            schemes.push(row.scheme.clone());
-        }
-    }
-
-    let mut files = Vec::new();
-
-    // ── simperf_trend.csv: per-commit × per-scheme geomean ──────────
-    let mut csv = String::from("commit,date,scheme,cells,geomean_refs_per_sec\n");
-    for block in &blocks {
-        for scheme in &schemes {
-            let vals: Vec<f64> = block
-                .rows
-                .iter()
-                .filter(|r| &r.scheme == scheme)
-                .map(|r| r.refs_per_sec)
-                .collect();
-            if vals.is_empty() {
-                continue;
+/// The end-to-end then per-layer metrics `BENCHMARK.json` declares.
+///
+/// # Errors
+///
+/// A message naming `BENCHMARK.json`: the text is not JSON, or a
+/// metric lacks a `name`, a `unit`, a `better` of `higher`/`lower`, or
+/// (end-to-end only) a numeric `bound`.
+pub fn declared_metrics(benchmark: &str) -> Result<Vec<Declared>, String> {
+    let bad = |reason: String| format!("BENCHMARK.json: {reason}");
+    let doc = json::parse(benchmark).map_err(|e| bad(format!("not JSON: {e}")))?;
+    let mut out = Vec::new();
+    for list in ["end_to_end", "per_layer"] {
+        let metrics = doc.get(list).and_then(Json::as_arr);
+        for m in metrics.ok_or_else(|| bad(format!("no `{list}` array")))? {
+            let text = |field: &str| m.get(field).and_then(Json::as_str);
+            let (Some(name), Some(unit), Some(better)) =
+                (text("name"), text("unit"), text("better"))
+            else {
+                return Err(bad(format!("a `{list}` entry lacks name, unit or better")));
+            };
+            let bound = m.get("bound").and_then(Json::as_f64);
+            if !["higher", "lower"].contains(&better) || (bound.is_none() && list == "end_to_end") {
+                return Err(bad(format!("`{name}`: bad `better` or `bound`")));
             }
-            csv.push_str(&format!(
-                "{},{},{},{},{:.1}\n",
-                block.commit,
-                block.date,
-                scheme,
-                vals.len(),
-                crate::geomean(&vals)
-            ));
+            out.push(Declared {
+                name: name.to_string(),
+                unit: unit.to_string(),
+                higher_is_better: better == "higher",
+                bound,
+            });
         }
-        let all: Vec<f64> = block.rows.iter().map(|r| r.refs_per_sec).collect();
-        csv.push_str(&format!(
-            "{},{},overall,{},{:.1}\n",
-            block.commit,
-            block.date,
-            all.len(),
-            crate::geomean(&all)
+    }
+    Ok(out)
+}
+
+/// One perfbench result line: attempted, failed, metric values by name.
+type Run = (u64, u64, Vec<(String, f64)>);
+
+/// Parses every line of one side's file as a perfbench result.
+fn parse_runs(path: &str, text: &str) -> Result<Vec<Run>, String> {
+    let mut runs = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        let bad = |why: &str| format!("{path}:{}: not a perfbench result: {why}", i + 1);
+        let doc = json::parse(line).map_err(|e| bad(&e))?;
+        let count = |field| doc.get(field).and_then(Json::as_u64);
+        let (Some(attempted), Some(failed), Some(fields)) = (
+            count("attempted"),
+            count("failed"),
+            doc.get("metrics").and_then(Json::as_obj),
+        ) else {
+            return Err(bad("needs whole-number attempted, failed and metrics"));
+        };
+        let mut metrics = Vec::new();
+        for (name, m) in fields {
+            let value = m
+                .get("value")
+                .and_then(Json::as_f64)
+                .filter(|v| v.is_finite());
+            let value = value.ok_or_else(|| bad(&format!("`{name}` has no finite value")))?;
+            metrics.push((name.clone(), value));
+        }
+        runs.push((attempted, failed, metrics));
+    }
+    if runs.is_empty() {
+        return Err(format!("{path}: no runs"));
+    }
+    Ok(runs)
+}
+
+fn value(run: &Run, metric: &str) -> Option<f64> {
+    run.2.iter().find(|(m, _)| m == metric).map(|(_, v)| *v)
+}
+
+/// `[q1, median, q3]`, interpolating linearly between order statistics.
+fn quartiles(values: &[f64]) -> [f64; 3] {
+    let mut v = values.to_vec();
+    v.sort_by(f64::total_cmp);
+    [0.25, 0.5, 0.75].map(|q| {
+        let h = (v.len() - 1) as f64 * q;
+        let lo = h.floor() as usize;
+        v[lo] + (v[h.ceil() as usize] - v[lo]) * (h - lo as f64)
+    })
+}
+
+/// The acceptance verdict of one metric over its paired runs:
+/// * `gain`: ≥ 10 pairs, the change wins ≥ 9/10 of them (ties count
+///   for neither side), and its median is better by more than the
+///   parent's IQR;
+/// * `regression`: the change median is worse by more than the bound;
+/// * `unresolved`: the parent's IQR/median exceeds the bound, unless
+///   every change run is better than every parent run;
+/// * `no change` otherwise.
+fn verdict(higher_is_better: bool, bound: f64, parent: &[f64], change: &[f64]) -> &'static str {
+    let sign = if higher_is_better { 1.0 } else { -1.0 };
+    let better = |a: f64, b: f64| sign * (a - b) > 0.0;
+    let ([p1, pm, p3], [_, cm, _]) = (quartiles(parent), quartiles(change));
+    let n = parent.len();
+    let wins = parent
+        .iter()
+        .zip(change)
+        .filter(|(&p, &c)| better(c, p))
+        .count();
+    let every_run_better = change.iter().all(|&c| parent.iter().all(|&p| better(c, p)));
+    if n >= 10 && wins * 10 >= n * 9 && sign * (cm - pm) > p3 - p1 {
+        "gain"
+    } else if sign * (pm - cm) / pm.abs() > bound {
+        "regression"
+    } else if (p3 - p1) / pm.abs() > bound && !every_run_better {
+        "unresolved"
+    } else {
+        "no change"
+    }
+}
+
+/// A value to four significant digits (whole numbers stay whole).
+fn num(v: f64) -> String {
+    if v == 0.0 || !v.is_finite() {
+        return format!("{v}");
+    }
+    let decimals = (3 - v.abs().log10().floor() as i32).max(0) as usize;
+    format!("{v:.decimals$}")
+}
+
+/// The columns of `ab.csv`, one row per metric.
+const CSV_HEADER: &str = "metric,unit,better,bound,pairs,parent_q1,parent_median,parent_q3,\
+                          change_q1,change_median,change_q3,parent_iqr_rel,change_iqr_rel,\
+                          ratio,ratio_q1,ratio_q3,wins,p_value,verdict";
+
+/// The `ab.csv` columns the stdout table leaves out.
+const NOT_IN_TABLE: [&str; 5] = ["better", "bound", "pairs", "ratio_q1", "ratio_q3"];
+
+/// `rows` (header first) as left-aligned columns, without `NOT_IN_TABLE`.
+fn aligned(rows: &[Vec<String>]) -> String {
+    let keep = (0..rows[0].len()).filter(|&i| !NOT_IN_TABLE.contains(&rows[0][i].as_str()));
+    let widths: Vec<(usize, usize)> = keep
+        .map(|i| (i, rows.iter().map(|r| r[i].len()).max().unwrap_or(0)))
+        .collect();
+    let line = |r: &Vec<String>| {
+        let cells: Vec<String> = widths
+            .iter()
+            .map(|&(i, w)| format!("{:<w$}", r[i]))
+            .collect();
+        cells.join("  ").trim_end().to_string() + "\n"
+    };
+    rows.iter().map(line).collect()
+}
+
+/// Compares two sets of perfbench runs, each given as `(file name,
+/// text)`, over the metrics `benchmark` (`BENCHMARK.json`) declares.
+///
+/// Returns the stdout table and `ab.csv` + `ab.svg`. Per metric the
+/// table and CSV give both sides' quartiles and IQR/median, the
+/// change/parent median ratio, the change's wins, the
+/// paired-permutation p-value of the log ratios (when every value is
+/// positive) and a bounded metric's acceptance verdict; the table ends
+/// with each side's failed share and a `FAILURE` line when the change's
+/// is higher. The SVG shows the median ratios with whiskers at the
+/// change's quartiles over the parent median.
+///
+/// # Errors
+///
+/// A message naming the file, and the 1-based line where one applies:
+/// `BENCHMARK.json` is unusable, a line is not a perfbench result, the
+/// files hold different numbers of runs, or a metric is in some runs
+/// and not in others.
+pub fn ab(
+    benchmark: &str,
+    parent: (&str, &str),
+    change: (&str, &str),
+) -> Result<(String, Vec<ReportFile>), String> {
+    let declared = declared_metrics(benchmark)?;
+    let p_runs = parse_runs(parent.0, parent.1)?;
+    let c_runs = parse_runs(change.0, change.1)?;
+    let n = p_runs.len();
+    if n != c_runs.len() {
+        let longer = if n > c_runs.len() { parent.0 } else { change.0 };
+        return Err(format!(
+            "{longer}:{}: no run to pair with: {} has {n} runs and {} has {}",
+            n.min(c_runs.len()) + 1,
+            parent.0,
+            change.0,
+            c_runs.len()
         ));
     }
-    files.push(ReportFile {
-        name: "simperf_trend.csv".to_string(),
-        contents: csv,
-    });
-
-    // ── simperf_trend.svg: the same trend as a line chart ───────────
-    let x_labels: Vec<String> = blocks.iter().map(|b| b.commit.clone()).collect();
-    let mut series: Vec<svg::Series> = Vec::new();
-    for scheme in &schemes {
-        let values = blocks
-            .iter()
-            .map(|b| {
-                let vals: Vec<f64> = b
-                    .rows
-                    .iter()
-                    .filter(|r| &r.scheme == scheme)
-                    .map(|r| r.refs_per_sec / 1e6)
-                    .collect();
-                if vals.is_empty() {
-                    f64::NAN
-                } else {
-                    crate::geomean(&vals)
+    let first = &p_runs[0];
+    for (path, runs) in [(parent.0, &p_runs), (change.0, &c_runs)] {
+        for (i, run) in runs.iter().enumerate() {
+            let (here, there) = (format!("{path}:{}", i + 1), format!("{}:1", parent.0));
+            for (has, lacks, at, other) in
+                [(first, run, &here, &there), (run, first, &there, &here)]
+            {
+                if let Some((m, _)) = has.2.iter().find(|(m, _)| value(lacks, m).is_none()) {
+                    return Err(format!("{at}: metric `{m}` is missing, but {other} has it"));
                 }
-            })
-            .collect();
-        series.push(svg::Series {
-            name: scheme.clone(),
-            values,
+            }
+        }
+    }
+
+    let mut rows = vec![CSV_HEADER.split(',').map(String::from).collect::<Vec<_>>()];
+    let (mut labels, mut ratios, mut whiskers) = (Vec::new(), Vec::new(), Vec::new());
+    for d in declared.iter().filter(|d| value(first, &d.name).is_some()) {
+        let side =
+            |runs: &[Run]| -> Vec<f64> { runs.iter().filter_map(|r| value(r, &d.name)).collect() };
+        let (p, c) = (side(&p_runs), side(&c_runs));
+        let ([p1, pm, p3], [c1, cm, c3]) = (quartiles(&p), quartiles(&c));
+        let pairs: Vec<(f64, f64)> = p.iter().copied().zip(c.iter().copied()).collect();
+        let sign = if d.higher_is_better { 1.0 } else { -1.0 };
+        let wins = pairs.iter().filter(|(p, c)| sign * (c - p) > 0.0).count();
+        let positive = pairs.iter().all(|&(a, b)| a > 0.0 && b > 0.0);
+        let p_value = positive.then(|| paired_permutation_test(&pairs)).flatten();
+        let verdict = d.bound.map(|b| verdict(d.higher_is_better, b, &p, &c));
+        let ratio = [cm, c1, c3].map(|v| if pm == 0.0 { f64::NAN } else { v / pm });
+        let rel = [
+            (p3 - p1) / pm.abs(),
+            (c3 - c1) / cm.abs(),
+            ratio[0],
+            ratio[1],
+            ratio[2],
+        ];
+        let rel = rel.map(|v| format!("{v:.4}")).join(",");
+        let quartiles = [p1, pm, p3, c1, cm, c3].map(num).join(",");
+        let better = ["lower", "higher"][usize::from(d.higher_is_better)];
+        let bound = d.bound.map_or(String::new(), |b| b.to_string());
+        let p = p_value.map_or(String::new(), |t| format!("{:.4}", t.p_value));
+        let (name, unit, v) = (&d.name, &d.unit, verdict.unwrap_or_default());
+        let line = format!("{name},{unit},{better},{bound},{n},{quartiles},{rel},{wins},{p},{v}");
+        rows.push(line.split(',').map(String::from).collect());
+        labels.push(match verdict {
+            Some(v) => format!("{} ({v})", d.name),
+            None => d.name.clone(),
         });
+        ratios.push(ratio[0]);
+        whiskers.push([ratio[1], ratio[2]]);
     }
-    series.push(svg::Series {
-        name: "overall".to_string(),
-        values: blocks
-            .iter()
-            .map(|b| {
-                let all: Vec<f64> = b.rows.iter().map(|r| r.refs_per_sec / 1e6).collect();
-                crate::geomean(&all)
-            })
-            .collect(),
-    });
-    files.push(ReportFile {
-        name: "simperf_trend.svg".to_string(),
-        contents: svg::line_chart(
-            "simperf: geomean simulator throughput per commit",
-            "Mrefs/s (geomean)",
-            &x_labels,
-            &series,
-        ),
-    });
 
-    // ── simperf_delta.csv: consecutive-commit A/B with p-values ─────
-    let mut delta = String::from(
-        "base_commit,test_commit,scheme,pairs,geomean_ratio,p_value,method,significant\n",
+    let failed = |runs: &[Run]| runs.iter().fold((0, 0), |(f, a), r| (f + r.1, a + r.0));
+    let share = |(f, a): (u64, u64)| f as f64 / a.max(1) as f64;
+    let show = |fa: (u64, u64)| format!("{} ({}/{})", num(share(fa)), fa.0, fa.1);
+    let (p_failed, c_failed) = (failed(&p_runs), failed(&c_runs));
+    let (p_text, c_text) = (show(p_failed), show(c_failed));
+    let csv: String = rows.iter().map(|r| r.join(",") + "\n").collect();
+    let mut table = format!(
+        "report ab: parent {}, change {}, {n} pairs\n",
+        parent.0, change.0
     );
-    for pair in blocks.windows(2) {
-        let (base, test) = (&pair[0], &pair[1]);
-        let mut scopes: Vec<Option<&str>> = schemes.iter().map(|s| Some(s.as_str())).collect();
-        scopes.push(None); // overall
-        for scope in scopes {
-            let pairs = pair_blocks(&base.rows, &test.rows, scope);
-            let Some(t) = paired_permutation_test(&pairs) else {
-                continue;
-            };
-            delta.push_str(&format!(
-                "{},{},{},{},{:.4},{:.4},{},{}\n",
-                base.commit,
-                test.commit,
-                scope.unwrap_or("overall"),
-                t.n,
-                t.geomean_ratio,
-                t.p_value,
-                t.method,
-                t.significant()
-            ));
-        }
+    table += &aligned(&rows);
+    table += &format!("failed share: parent {p_text}, change {c_text}\n");
+    if share(c_failed) > share(p_failed) {
+        table += &format!("FAILURE: the failed share rose from {p_text} to {c_text}\n");
     }
-    files.push(ReportFile {
-        name: "simperf_delta.csv".to_string(),
-        contents: delta,
-    });
-
-    // ── simperf_latest.svg: latest block per scheme, as bars ────────
-    let latest = blocks.last().expect("non-empty blocks");
-    let mut labels = Vec::new();
-    let mut values = Vec::new();
-    for scheme in &schemes {
-        let vals: Vec<f64> = latest
-            .rows
-            .iter()
-            .filter(|r| &r.scheme == scheme)
-            .map(|r| r.refs_per_sec / 1e6)
-            .collect();
-        if !vals.is_empty() {
-            labels.push(scheme.clone());
-            values.push(crate::geomean(&vals));
-        }
-    }
-    files.push(ReportFile {
-        name: "simperf_latest.svg".to_string(),
-        contents: svg::bar_chart(
-            &format!(
-                "simperf: geomean simulator throughput at {} ({})",
-                latest.commit, latest.date
-            ),
-            "Mrefs/s (geomean)",
-            &labels,
-            &values,
-        ),
-    });
-
-    Ok(files)
-}
-
-/// Renders the consecutive-commit significance tests as human-readable
-/// verdict lines (what `report` prints and CI echoes).
-pub fn delta_verdicts(simperf_json: &str) -> Vec<String> {
-    let rows = parse_simperf(simperf_json);
-    let blocks = commit_blocks(&rows);
-    let mut out = Vec::new();
-    for pair in blocks.windows(2) {
-        let (base, test) = (&pair[0], &pair[1]);
-        if let Some(t) = paired_permutation_test(&pair_blocks(&base.rows, &test.rows, None)) {
-            out.push(format!(
-                "{} -> {}: {}",
-                base.commit,
-                test.commit,
-                t.verdict()
-            ));
-        }
-    }
-    out
-}
-
-/// Convenience wrapper: pair two row sets and test them in one call
-/// (what `simperf --check` uses for its verdict line).
-pub fn significance(base: &[SimperfRow], test: &[SimperfRow]) -> Option<PairedPermutation> {
-    paired_permutation_test(&pair_blocks(base, test, None))
+    let svg = svg::bar_chart(
+        &format!("A/B over {n} pairs: change / parent median"),
+        "ratio (whiskers: change q1 to q3)",
+        &labels,
+        &ratios,
+        &whiskers,
+    );
+    let file = |name: &str, contents| ReportFile {
+        name: name.to_string(),
+        contents,
+    };
+    Ok((table, vec![file("ab.csv", csv), file("ab.svg", svg)]))
 }
 
 // ── Figure-table capture ────────────────────────────────────────────
@@ -405,6 +399,7 @@ pub fn figure_chart(stem: &str, csv_text: &str) -> Option<ReportFile> {
             "geomean",
             &labels,
             &values,
+            &[],
         ),
     })
 }
@@ -413,8 +408,7 @@ pub fn figure_chart(stem: &str, csv_text: &str) -> Option<ReportFile> {
 //
 // `pipm-client bench --sweep` prints one `sweep mode=open-loop …` line
 // per offered-load point. Committing that log (plus these pure
-// functions) makes the saturation chart a reviewable artifact like the
-// simperf trend.
+// functions) makes the saturation chart a reviewable artifact.
 
 /// One parsed `pipm-client bench --sweep` output line.
 #[derive(Clone, Debug, PartialEq)]
@@ -555,42 +549,72 @@ pub fn sweep_report(log_text: &str) -> Result<Vec<ReportFile>, String> {
 mod tests {
     use super::*;
 
-    const FIXTURE: &str = r#"[
-  {"commit": "aaa1111", "date": "2026-08-01", "scheme": "Pipm", "workload": "BFS", "refs_per_sec": 5100000.0, "wall_ms": 10.0, "exec_cycles": 100},
-  {"commit": "aaa1111", "date": "2026-08-01", "scheme": "Pipm", "workload": "YCSB", "refs_per_sec": 5300000.0, "wall_ms": 10.0, "exec_cycles": 100},
-  {"commit": "bbb2222", "date": "2026-08-02", "scheme": "Pipm", "workload": "BFS", "refs_per_sec": 9300000.0, "wall_ms": 5.0, "exec_cycles": 100},
-  {"commit": "bbb2222", "date": "2026-08-02", "scheme": "Pipm", "workload": "YCSB", "refs_per_sec": 9500000.0, "wall_ms": 5.0, "exec_cycles": 100}
-]
-"#;
+    const BENCH: &str = r#"{"end_to_end": [{"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}],
+        "per_layer": [{"name": "cpu.ipc", "unit": "instr/cycle", "better": "higher"}]}"#;
 
-    #[test]
-    fn parses_rows_and_blocks_in_file_order() {
-        let rows = parse_simperf(FIXTURE);
-        assert_eq!(rows.len(), 4);
-        let blocks = commit_blocks(&rows);
-        assert_eq!(blocks.len(), 2);
-        assert_eq!(blocks[0].commit, "aaa1111");
-        assert_eq!(blocks[1].commit, "bbb2222");
-        assert_eq!(blocks[1].rows.len(), 2);
+    fn run(ops: f64) -> String {
+        format!(
+            r#"{{"attempted": 3, "failed": 0, "metrics": {{"ops_per_s": {{"value": {ops}}}}}}}"#
+        )
+    }
+
+    fn ab_err(bench: &str, parent: &str, change: &str) -> String {
+        ab(bench, ("a.jsonl", parent), ("b.jsonl", change)).unwrap_err()
     }
 
     #[test]
-    fn generate_covers_every_commit_block_and_is_deterministic() {
-        let a = generate(FIXTURE).unwrap();
-        let b = generate(FIXTURE).unwrap();
-        assert_eq!(a.len(), b.len());
-        for (fa, fb) in a.iter().zip(&b) {
-            assert_eq!(fa.name, fb.name);
-            assert_eq!(
-                fa.contents, fb.contents,
-                "{} must be deterministic",
-                fa.name
-            );
+    fn ab_input_errors_name_the_file_and_line() {
+        let two = format!("{}\n{}\n", run(1.0), run(2.0));
+        let bad = |line: &str| ab_err(BENCH, &two, &format!("{}\n{line}\n", run(1.0)));
+        for line in ["x", r#"{"attempted": 3, "failed": 0}"#] {
+            assert!(bad(line).starts_with("b.jsonl:2: not a perfbench result: "));
         }
-        let trend = &a.iter().find(|f| f.name == "simperf_trend.csv").unwrap();
-        assert!(trend.contents.contains("aaa1111") && trend.contents.contains("bbb2222"));
-        let svg = &a.iter().find(|f| f.name == "simperf_trend.svg").unwrap();
-        assert!(svg.contents.contains("aaa1111") && svg.contents.contains("bbb2222"));
+        let x = r#"{"attempted": 3, "failed": 0, "metrics": {"ops_per_s": {}}}"#;
+        assert!(bad(x).ends_with("`ops_per_s` has no finite value"));
+        assert_eq!(ab_err(BENCH, "", &two), "a.jsonl: no runs");
+
+        let counts = "a.jsonl:2: no run to pair with: a.jsonl has 2 runs and b.jsonl has 1";
+        assert_eq!(ab_err(BENCH, &two, &run(1.0)), counts);
+
+        let bare = r#"{"attempted": 3, "failed": 0, "metrics": {}}"#;
+        let lacks = "b.jsonl:2: metric `ops_per_s` is missing, but a.jsonl:1 has it";
+        assert_eq!(
+            ab_err(BENCH, &two, &format!("{}\n{bare}\n", run(1.0))),
+            lacks
+        );
+        let lacks = "a.jsonl:1: metric `ops_per_s` is missing, but b.jsonl:1 has it";
+        assert_eq!(ab_err(BENCH, bare, &run(1.0)), lacks);
+
+        assert!(ab_err("{", &two, &two).starts_with("BENCHMARK.json: not JSON"));
+        let no_bound = BENCH.replace(", \"bound\": 0.25", "");
+        assert_eq!(
+            ab_err(&no_bound, &two, &two),
+            "BENCHMARK.json: `ops_per_s`: bad `better` or `bound`"
+        );
+    }
+
+    #[test]
+    fn verdicts_follow_the_acceptance_rule() {
+        let v = |parent: &[f64], change: &[f64]| verdict(true, 0.25, parent, change);
+        let parent: Vec<f64> = (0..10).map(|i| 100.0 + i as f64).collect();
+        // A 20 % lead is a gain at 10/10 and 9/10 pairs won, not at 8/10.
+        let mut ahead: Vec<f64> = parent.iter().map(|p| p * 1.2).collect();
+        assert_eq!(v(&parent, &ahead), "gain");
+        ahead[0] = 90.0;
+        assert_eq!(v(&parent, &ahead), "gain");
+        ahead[1] = 90.0;
+        assert_eq!(v(&parent, &ahead), "no change");
+        // Winning every pair is not enough within the parent's IQR (4.5).
+        let close: Vec<f64> = parent.iter().map(|p| p + 3.0).collect();
+        assert_eq!(v(&parent, &close), "no change");
+        let behind: Vec<f64> = parent.iter().map(|p| p * 0.7).collect();
+        assert_eq!(v(&parent, &behind), "regression");
+        // A parent spread wider than the bound is unresolved, unless
+        // every change run beats every parent run.
+        let wide = [50.0, 60.0, 70.0, 80.0, 90.0, 100.0, 110.0, 120.0, 130.0];
+        let shuffled = [90.0, 50.0, 130.0, 70.0, 110.0, 60.0, 120.0, 80.0, 100.0];
+        assert_eq!(v(&wide, &shuffled), "unresolved");
+        assert_eq!(v(&wide, &[140.0; 9]), "no change");
     }
 
     #[test]

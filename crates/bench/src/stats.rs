@@ -1,15 +1,14 @@
 //! Hand-rolled significance testing for A/B performance claims.
 //!
-//! The repo's perf numbers come from a 1-vCPU host with ±30–50% noise
-//! per cell, so "the geomean moved" is not evidence by itself. This
-//! module gives every A/B comparison a p-value via a **paired
-//! permutation (sign-flip) test** over per-workload throughput pairs:
+//! The benchmark runs on a shared 2-vCPU host whose run-to-run swings
+//! reach ±15–50 %, so "the median moved" is not evidence by itself.
+//! `report ab` gives every metric of an A/B comparison a p-value via a
+//! **paired permutation (sign-flip) test** over run pairs:
 //!
-//! * Pair the same `(scheme, workload)` cell across the two runs and
-//!   take the log-ratio `d_i = ln(b_i / a_i)` — pairing removes the
-//!   per-workload baseline (BFS is simply slower than PTRCHASE), and
-//!   logs make the statistic the geomean ratio, the quantity the
-//!   README actually quotes.
+//! * Pair parent run i with change run i (the pair loop alternates
+//!   which side runs first) and take the log-ratio `d_i = ln(b_i / a_i)`
+//!   — pairing cancels host drift that hits both runs of a pair, and
+//!   logs make the statistic the geomean ratio.
 //! * Under the null hypothesis (no real difference) each pair's sign
 //!   is exchangeable: `(a_i, b_i)` vs `(b_i, a_i)` is a coin flip. So
 //!   the null distribution of the mean log-ratio is obtained by
@@ -22,7 +21,7 @@
 //! No distributional assumption (the noise is nothing like normal),
 //! no lookup tables, std only.
 
-/// Significance threshold used by every verdict in the repo.
+/// Significance threshold of [`PairedPermutation::significant`].
 pub const SIGNIFICANCE_LEVEL: f64 = 0.05;
 
 /// Pairs at or below this count are tested exactly (`2^n` ≤ ~1M sign
@@ -41,8 +40,6 @@ const MC_SEED: u64 = 0x5ca1_ab1e_0000_0009;
 /// Outcome of a paired permutation test.
 #[derive(Clone, Copy, Debug)]
 pub struct PairedPermutation {
-    /// Number of pairs tested.
-    pub n: usize,
     /// Geometric mean of `b_i / a_i` — the effect size.
     pub geomean_ratio: f64,
     /// Two-sided p-value of the mean log-ratio under sign flipping.
@@ -55,24 +52,6 @@ impl PairedPermutation {
     /// Whether the difference is significant at [`SIGNIFICANCE_LEVEL`].
     pub fn significant(&self) -> bool {
         self.p_value < SIGNIFICANCE_LEVEL
-    }
-
-    /// One-line human verdict, e.g.
-    /// `geomean 1.808x (n=13), p=0.0002 [exact] -- significant at 0.05`.
-    pub fn verdict(&self) -> String {
-        format!(
-            "geomean {:.3}x (n={}), p={:.4} [{}] -- {} at {}",
-            self.geomean_ratio,
-            self.n,
-            self.p_value,
-            self.method,
-            if self.significant() {
-                "significant"
-            } else {
-                "not significant"
-            },
-            SIGNIFICANCE_LEVEL,
-        )
     }
 }
 
@@ -127,7 +106,6 @@ pub fn paired_permutation_test(pairs: &[(f64, f64)]) -> Option<PairedPermutation
         ((extreme + 1) as f64 / (RESAMPLES + 1) as f64, "monte-carlo")
     };
     Some(PairedPermutation {
-        n,
         geomean_ratio,
         p_value,
         method,

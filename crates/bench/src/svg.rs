@@ -1,5 +1,5 @@
-//! Hand-rolled SVG chart rendering: a line chart (per-commit trends)
-//! and a bar chart (latest-block comparisons), std only.
+//! Hand-rolled SVG chart rendering: a line chart (serving sweeps) and
+//! a bar chart (figure tables, A/B ratios), std only.
 //!
 //! The committed `docs/bench/*.svg` artifacts must be **byte-identical
 //! on regeneration** (the golden test diffs them), so everything here
@@ -98,14 +98,22 @@ pub fn line_chart(title: &str, y_label: &str, x_labels: &[String], series: &[Ser
 }
 
 /// Renders a single-series bar chart, y-axis from zero, with the value
-/// printed above each bar.
-pub fn bar_chart(title: &str, y_label: &str, labels: &[String], values: &[f64]) -> String {
+/// printed above each bar and, where `whiskers` has a `[lo, hi]` for
+/// the bar, a vertical line from `lo` to `hi`.
+pub fn bar_chart(
+    title: &str,
+    y_label: &str,
+    labels: &[String],
+    values: &[f64],
+    whiskers: &[[f64; 2]],
+) -> String {
     let slot = 80.0_f64;
     let plot_w = (slot * labels.len() as f64).max(420.0);
     let width = MARGIN_LEFT + plot_w + 24.0;
     let height = MARGIN_TOP + PLOT_H + MARGIN_BOTTOM;
     let max = values
         .iter()
+        .chain(whiskers.iter().flatten())
         .copied()
         .filter(|v| v.is_finite())
         .fold(0.0_f64, f64::max);
@@ -115,6 +123,7 @@ pub fn bar_chart(title: &str, y_label: &str, labels: &[String], values: &[f64]) 
     axes_and_grid(&mut out, plot_w, step, top, y_label);
     x_category_labels(&mut out, plot_w, labels);
 
+    let y_at = |v: f64| MARGIN_TOP + PLOT_H * (1.0 - v / top);
     let slot_w = plot_w / labels.len() as f64;
     let bar_w = slot_w * 0.6;
     for (i, v) in values.iter().enumerate() {
@@ -122,7 +131,7 @@ pub fn bar_chart(title: &str, y_label: &str, labels: &[String], values: &[f64]) 
             continue;
         }
         let x = MARGIN_LEFT + slot_w * (i as f64 + 0.5) - bar_w / 2.0;
-        let y = MARGIN_TOP + PLOT_H * (1.0 - v / top);
+        let y = y_at(*v);
         let color = PALETTE[i % PALETTE.len()];
         out.push_str(&format!(
             "  <rect x=\"{}\" y=\"{}\" width=\"{}\" height=\"{}\" fill=\"{color}\" fill-opacity=\"0.85\"/>\n",
@@ -131,10 +140,20 @@ pub fn bar_chart(title: &str, y_label: &str, labels: &[String], values: &[f64]) 
             fmt2(bar_w),
             fmt2(MARGIN_TOP + PLOT_H - y)
         ));
+        let mut text_y = y;
+        if let Some(&[lo, hi]) = whiskers.get(i) {
+            text_y = text_y.min(y_at(hi));
+            out.push_str(&format!(
+                "  <line x1=\"{x}\" y1=\"{}\" x2=\"{x}\" y2=\"{}\" stroke=\"#333\" stroke-width=\"2\"/>\n",
+                fmt2(y_at(lo)),
+                fmt2(y_at(hi)),
+                x = fmt2(x + bar_w / 2.0)
+            ));
+        }
         out.push_str(&format!(
             "  <text x=\"{}\" y=\"{}\" font-size=\"10\" fill=\"#333\" text-anchor=\"middle\">{}</text>\n",
             fmt2(x + bar_w / 2.0),
-            fmt2(y - 5.0),
+            fmt2(text_y - 5.0),
             fmt2(*v)
         ));
     }
@@ -293,7 +312,10 @@ mod tests {
         // keep the first point's marker.
         assert_eq!(a.matches("<polyline").count(), 1);
 
-        let bars = bar_chart("latest", "Mrefs/s", &labels, &[5.2, 9.4]);
+        let bars = bar_chart("latest", "Mrefs/s", &labels, &[5.2, 9.4], &[[4.0, 12.5]]);
         assert!(bars.contains("<rect") && bars.contains("9.40"));
+        // One whisker, for the first bar; its top sets the axis (0..15).
+        assert_eq!(bars.matches("stroke-width=\"2\"").count(), 1);
+        assert!(bars.contains(">15</text>"));
     }
 }

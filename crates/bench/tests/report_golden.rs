@@ -1,126 +1,106 @@
-//! Golden-output test for the `report` layer: regenerating from a
-//! fixed `BENCH_simperf.json` fixture must reproduce the committed
-//! CSV/SVG artifacts **byte-identically**. The fixture encodes the
-//! PR 4 throughput jump (5.2M → 9.4M geomean refs/s across all 13
-//! workloads) followed by a same-binary rerun with mixed-sign noise,
-//! so the test also pins the significance methodology: the jump must
-//! come out significant, the noise must not.
+//! Golden-output tests for `report ab`: comparing a committed pair of
+//! ten-run fixture files must reproduce the committed `ab.csv`/`ab.svg`
+//! **byte-identically** and give each verdict of the acceptance rule.
+//!
+//! In the fixtures (`tests/fixtures/ab_{parent,change}.jsonl`, metrics
+//! declared by `tests/fixtures/BENCHMARK.json`) the change is about
+//! 10 % ahead on `ops_per_s` in every pair (`gain`) and 40 % behind on
+//! `p50_ms` (`regression`), `p90_ms` spreads wider than its bound
+//! (`unresolved`), `good_frac` is identical (`no change`), `cpu.ipc` has
+//! no bound, and the change fails one operation in its fourth run.
 
-use pipm_bench::report;
+use pipm_bench::report::{self, ReportFile};
 
-fn fixture() -> String {
-    std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/fixtures/simperf_pr4.json"
-    ))
-    .expect("read fixture")
+fn read(rel: &str) -> String {
+    std::fs::read_to_string(format!("{}/{rel}", env!("CARGO_MANIFEST_DIR")))
+        .unwrap_or_else(|e| panic!("read {rel}: {e}"))
 }
 
-fn golden(name: &str) -> String {
-    std::fs::read_to_string(format!(
-        "{}/tests/golden/{name}",
-        env!("CARGO_MANIFEST_DIR")
-    ))
-    .unwrap_or_else(|e| panic!("read golden {name}: {e}"))
+/// `report ab` over the first `pairs` runs of the fixtures.
+fn fixture_ab(pairs: usize) -> (String, Vec<ReportFile>) {
+    let first = |name: &str| -> String {
+        let text = read(&format!("tests/fixtures/{name}"));
+        text.lines().take(pairs).map(|l| format!("{l}\n")).collect()
+    };
+    let (parent, change) = (first("ab_parent.jsonl"), first("ab_change.jsonl"));
+    let benchmark = read("tests/fixtures/BENCHMARK.json");
+    report::ab(&benchmark, ("parent", &parent), ("change", &change)).expect("fixtures compare")
+}
+
+/// The `ab.csv` row of `metric`, split into cells.
+fn csv_row(files: &[ReportFile], metric: &str) -> Vec<String> {
+    let row = files[0]
+        .contents
+        .lines()
+        .find(|l| l.starts_with(&format!("{metric},")));
+    let row = row.unwrap_or_else(|| panic!("no row for {metric}"));
+    row.split(',').map(String::from).collect()
 }
 
 #[test]
 fn report_regenerates_goldens_byte_identically() {
-    let files = report::generate(&fixture()).expect("generate");
+    let (_, files) = fixture_ab(10);
     let names: Vec<&str> = files.iter().map(|f| f.name.as_str()).collect();
-    assert_eq!(
-        names,
-        [
-            "simperf_trend.csv",
-            "simperf_trend.svg",
-            "simperf_delta.csv",
-            "simperf_latest.svg"
-        ],
-        "artifact set changed -- regenerate the goldens deliberately"
-    );
+    assert_eq!(names, ["ab.csv", "ab.svg"], "artifact set changed");
     for f in &files {
         assert_eq!(
             f.contents,
-            golden(&f.name),
+            read(&format!("tests/golden/{}", f.name)),
             "{} drifted from its committed golden; if the change is \
-             intentional, regenerate with `cargo run -p pipm-bench --bin \
-             report -- --input crates/bench/tests/fixtures/simperf_pr4.json \
-             --out crates/bench/tests/golden --figs-dir /nonexistent`",
+             intentional, regenerate in crates/bench/tests/fixtures with \
+             `report ab ab_parent.jsonl ab_change.jsonl --out ../golden`",
             f.name
         );
     }
     // Rerun over the same input: the second pass must be bit-equal to
     // the first (no clocks, no randomness, no map order).
-    let again = report::generate(&fixture()).expect("generate again");
-    for (a, b) in files.iter().zip(&again) {
-        assert_eq!(a.contents, b.contents, "{} not deterministic", a.name);
-    }
+    assert_eq!(fixture_ab(10).1[1].contents, files[1].contents);
 }
 
 #[test]
-fn trend_covers_every_commit_block_in_the_fixture() {
-    let text = fixture();
-    let blocks = report::commit_blocks(&report::parse_simperf(&text));
-    assert_eq!(blocks.len(), 3);
-    let files = report::generate(&text).expect("generate");
-    let trend_csv = &files[0].contents;
-    let trend_svg = &files[1].contents;
-    for b in &blocks {
-        assert!(
-            trend_csv.contains(&b.commit),
-            "{} missing from CSV",
-            b.commit
-        );
-        assert!(
-            trend_svg.contains(&b.commit),
-            "{} missing from SVG",
-            b.commit
-        );
+fn fixture_gives_every_verdict_and_nine_pairs_never_gain() {
+    let (table, files) = fixture_ab(10);
+    for (metric, verdict) in [
+        ("ops_per_s", "gain"),
+        ("p50_ms", "regression"),
+        ("p90_ms", "unresolved"),
+        ("good_frac", "no change"),
+        ("cpu.ipc", ""),
+    ] {
+        assert_eq!(csv_row(&files, metric)[18], verdict, "{metric}");
+        assert!(table.lines().any(|l| l.starts_with(&format!("{metric} "))));
     }
-}
+    // Wins and p: all ten pairs won gives the exact-test floor 2/2^10;
+    // ties win nothing and give p = 1.
+    assert_eq!(csv_row(&files, "ops_per_s")[16..18], ["10", "0.0020"]);
+    assert_eq!(csv_row(&files, "good_frac")[16..18], ["0", "1.0000"]);
+    assert!(table.contains("failed share: parent 0 (0/90), change 0.01111 (1/90)\n"));
+    assert!(table.contains("\nFAILURE: the failed share rose from 0 (0/90) to 0.01111"));
 
-#[test]
-fn pr4_jump_is_significant_and_same_binary_noise_is_not() {
-    let text = fixture();
-    let blocks = report::commit_blocks(&report::parse_simperf(&text));
-    let jump = report::significance(&blocks[0].rows, &blocks[1].rows).expect("jump test");
-    assert!(
-        jump.significant(),
-        "PR 4 jump must be significant: {}",
-        jump.verdict()
-    );
-    assert!(
-        jump.geomean_ratio > 1.7 && jump.geomean_ratio < 1.9,
-        "jump effect size off: {}",
-        jump.geomean_ratio
-    );
-    let noise = report::significance(&blocks[1].rows, &blocks[2].rows).expect("noise test");
-    assert!(
-        !noise.significant(),
-        "same-binary noise must not be significant: {}",
-        noise.verdict()
+    // The same lead in the first nine pairs only: no gain below ten.
+    let (_, files) = fixture_ab(9);
+    assert_eq!(
+        csv_row(&files, "ops_per_s")[16..],
+        ["9", "0.0039", "no change"]
     );
 }
 
 #[test]
-fn committed_trajectory_parses_and_charts_every_block() {
-    // The real BENCH_simperf.json two directories up: every commit
-    // block in it must make it into the generated trend artifacts
-    // (this is what `report` runs over in CI).
-    let text = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../BENCH_simperf.json"
-    ))
-    .expect("read committed trajectory");
-    let blocks = report::commit_blocks(&report::parse_simperf(&text));
-    assert!(!blocks.is_empty(), "committed trajectory has no rows");
-    let files = report::generate(&text).expect("generate");
-    let trend_svg = &files[1].contents;
-    for b in &blocks {
-        assert!(
-            trend_svg.contains(&b.commit),
-            "commit block {} missing from the trend chart",
-            b.commit
-        );
-    }
+fn benchmark_json_declares_six_bounded_end_to_end_metrics() {
+    let declared = report::declared_metrics(&read("../../BENCHMARK.json")).expect("parses");
+    let bounded: Vec<&str> = declared
+        .iter()
+        .filter(|d| d.bound.is_some_and(|b| b > 0.0))
+        .map(|d| d.name.as_str())
+        .collect();
+    let e2e = [
+        "ops_per_s",
+        "p50_ms",
+        "p90_ms",
+        "good_frac",
+        "setup_s",
+        "peak_rss_mb",
+    ];
+    assert_eq!(bounded, e2e);
+    assert_eq!(declared.len(), 6 + 36, "and the 36 per-layer metrics");
 }

@@ -1,7 +1,7 @@
 //! A reusable, content-addressed run cache with in-flight deduplication.
 //!
-//! Every consumer of the simulator — the figure harness, `simperf`, the
-//! `pipm-serve` daemon, tests — keeps re-running identical
+//! Every consumer of the simulator — the figure harness, the benchmark,
+//! the `pipm-serve` daemon, tests — keeps re-running identical
 //! `(workload, scheme, cfg, params)` jobs. Because runs are
 //! deterministic, a job's result is a pure function of those inputs, so
 //! it can be cached under a canonical fingerprint and shared between
