@@ -3,45 +3,38 @@
 //! per-line incremental migration (sector = 1) and whole-page transfer.
 //! Larger sectors prefetch spatial locality at the cost of extra CXL
 //! transfers. See DESIGN.md §3 and EXPERIMENTS.md.
-use pipm_bench::{geomean, print_table, Harness, RunSpec};
+use pipm_bench::{geomean, print_table, Harness, Point};
 use pipm_types::SchemeKind;
 
-fn main() {
-    let h = Harness::from_env();
+fn main() -> Result<(), String> {
+    let h = Harness::from_env()?;
     let sectors = [1u32, 2, 4, 8];
-    let specs: Vec<RunSpec> = h
-        .workloads()
-        .into_iter()
-        .flat_map(|w| {
-            std::iter::once(RunSpec::default_cfg(w, SchemeKind::Native)).chain(
+    // Per workload: Native, then PIPM at each sector size.
+    let points: Vec<Point> = h
+        .workloads
+        .iter()
+        .flat_map(|&w| {
+            std::iter::once(Point::default_cfg(w, SchemeKind::Native)).chain(
                 sectors.into_iter().map(move |sec| {
-                    let variant = if sec == 1 {
+                    let label = if sec == 1 {
                         String::new()
                     } else {
                         format!("sector={sec}")
                     };
-                    RunSpec::new(w, SchemeKind::Pipm, variant, move |cfg| {
+                    Point::full(w, SchemeKind::Pipm, label, |cfg| {
                         cfg.pipm.sector_lines = sec;
                     })
                 }),
             )
         })
         .collect();
-    h.prefetch(specs);
+    let ms = h.measure_all(&points);
     let mut rows = Vec::new();
     let mut per_sector: Vec<Vec<f64>> = vec![Vec::new(); sectors.len()];
-    for w in h.workloads() {
-        let native = h.measure_default(w, SchemeKind::Native);
+    for (w, ms) in h.workloads.iter().zip(ms.chunks(1 + sectors.len())) {
+        let native = &ms[0];
         let mut row = vec![w.label().to_string()];
-        for (i, sec) in sectors.iter().enumerate() {
-            let variant = if *sec == 1 {
-                String::new()
-            } else {
-                format!("sector={sec}")
-            };
-            let m = h.measure(w, SchemeKind::Pipm, &variant, |cfg| {
-                cfg.pipm.sector_lines = *sec;
-            });
+        for (i, m) in ms[1..].iter().enumerate() {
             let speedup = native.exec_cycles as f64 / m.exec_cycles.max(1) as f64;
             per_sector[i].push(speedup);
             row.push(format!("{speedup:.3}"));
@@ -58,4 +51,5 @@ fn main() {
         print!("\tsector{sec}={:.3}", geomean(&per_sector[i]));
     }
     println!();
+    Ok(())
 }

@@ -6,18 +6,18 @@
 //! the end.
 use pipm_bench::run_figure;
 
-fn main() {
+fn main() -> Result<(), String> {
     // Main matrix (Figures 4, 5, 10-13) at the harness scale; sensitivity
     // sweeps (Figures 14-17, threshold) at half scale — every figure is
     // self-normalized, so per-figure scale consistency is what matters.
-    let h = pipm_bench::Harness::from_env();
-    let mut sens = pipm_bench::Harness::from_env();
+    let h = pipm_bench::Harness::from_env()?;
+    let mut sens = pipm_bench::Harness::from_env()?;
     sens.refs_per_core = (h.refs_per_core / 2).max(10_000);
     eprintln!(
         "[all_figures] refs/core={} (sensitivity {}) workloads={} workers={}",
         h.refs_per_core,
         sens.refs_per_core,
-        h.workloads().len(),
+        h.workloads.len(),
         h.workers()
     );
     run_figure(&h, "table1", pipm_bench::figs::table1);
@@ -40,4 +40,5 @@ fn main() {
     h.print_timing_summary();
     eprintln!("[all_figures] sensitivity figures:");
     sens.print_timing_summary();
+    Ok(())
 }

@@ -1,5 +1,6 @@
 //! Regenerates the paper's fig10 end to end output. See EXPERIMENTS.md.
-fn main() {
-    let h = pipm_bench::Harness::from_env();
+fn main() -> Result<(), String> {
+    let h = pipm_bench::Harness::from_env()?;
     pipm_bench::run_figure(&h, "fig10", pipm_bench::figs::fig10);
+    Ok(())
 }

@@ -2,51 +2,39 @@
 //! increases, the majority-vote approach continues to suppress
 //! performance-degrading migrations and consistently outperforms prior
 //! designs"). Sweeps 2/4/8 hosts at fixed per-host core count.
-use pipm_bench::{geomean, print_table, Harness, RunSpec};
+use pipm_bench::{geomean, print_table, Harness, Point};
 use pipm_types::SchemeKind;
 
-fn main() {
-    let h = Harness::from_env();
+fn main() -> Result<(), String> {
+    let h = Harness::from_env()?;
     let host_counts = [2usize, 4, 8];
     let schemes = [SchemeKind::Memtis, SchemeKind::Pipm];
-    let specs: Vec<RunSpec> = h
-        .workloads()
-        .into_iter()
-        .flat_map(|w| {
+    // Per workload and host count: Native, then `schemes`.
+    let group = 1 + schemes.len();
+    let points: Vec<Point> = h
+        .workloads
+        .iter()
+        .flat_map(|&w| {
             host_counts.into_iter().flat_map(move |hosts| {
-                [SchemeKind::Native, SchemeKind::Memtis, SchemeKind::Pipm]
-                    .into_iter()
-                    .map(move |s| {
-                        let hv = if hosts == 4 {
-                            String::new()
-                        } else {
-                            format!("hosts={hosts}")
-                        };
-                        RunSpec::new(w, s, hv, move |cfg| {
-                            cfg.hosts = hosts;
-                        })
-                    })
+                let label = if hosts == 4 {
+                    String::new()
+                } else {
+                    format!("hosts={hosts}")
+                };
+                std::iter::once(SchemeKind::Native)
+                    .chain(schemes)
+                    .map(move |s| Point::full(w, s, label.clone(), |cfg| cfg.hosts = hosts))
             })
         })
         .collect();
-    h.prefetch(specs);
+    let ms = h.measure_all(&points);
     let mut rows = Vec::new();
     let mut per_cell: Vec<Vec<f64>> = vec![Vec::new(); host_counts.len() * schemes.len()];
-    for w in h.workloads() {
+    for (w, ms) in h.workloads.iter().zip(ms.chunks(host_counts.len() * group)) {
         let mut row = vec![w.label().to_string()];
-        for (hi, hosts) in host_counts.iter().enumerate() {
-            let hv = if *hosts == 4 {
-                String::new()
-            } else {
-                format!("hosts={hosts}")
-            };
-            let native = h.measure(w, SchemeKind::Native, &hv, |cfg| {
-                cfg.hosts = *hosts;
-            });
-            for (si, s) in schemes.iter().enumerate() {
-                let m = h.measure(w, *s, &hv, |cfg| {
-                    cfg.hosts = *hosts;
-                });
+        for (hi, cell) in ms.chunks(group).enumerate() {
+            let native = &cell[0];
+            for (si, m) in cell[1..].iter().enumerate() {
                 let speedup = native.exec_cycles as f64 / m.exec_cycles.max(1) as f64;
                 per_cell[hi * schemes.len() + si].push(speedup);
                 row.push(format!("{speedup:.3}"));
@@ -78,4 +66,5 @@ fn main() {
         }
     }
     println!();
+    Ok(())
 }

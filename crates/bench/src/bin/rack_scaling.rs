@@ -8,24 +8,26 @@
 //!
 //! Capture the table with `PIPM_FIG_CSV_DIR=docs/bench/figures` and
 //! chart it with the `report` bin (see EXPERIMENTS.md).
-use pipm_bench::{geomean, print_table, Harness, RunSpec};
+use pipm_bench::{geomean, print_table, Harness, Point};
 use pipm_types::{SchemeKind, TopologySpec};
 
-fn main() {
-    let h = Harness::from_env();
+fn main() -> Result<(), String> {
+    let h = Harness::from_env()?;
     let host_counts = [4usize, 8];
     let device_counts = [1usize, 2, 4];
     let schemes = [SchemeKind::Memtis, SchemeKind::Pipm];
-    let specs: Vec<RunSpec> = h
-        .workloads()
-        .into_iter()
-        .flat_map(|w| {
+    // Per workload, host count and device count: Native, then `schemes`.
+    let group = 1 + schemes.len();
+    let points: Vec<Point> = h
+        .workloads
+        .iter()
+        .flat_map(|&w| {
             host_counts.into_iter().flat_map(move |hosts| {
                 device_counts.into_iter().flat_map(move |devs| {
-                    [SchemeKind::Native, SchemeKind::Memtis, SchemeKind::Pipm]
-                        .into_iter()
+                    std::iter::once(SchemeKind::Native)
+                        .chain(schemes)
                         .map(move |s| {
-                            RunSpec::new(w, s, format!("hosts={hosts},devs={devs}"), move |cfg| {
+                            Point::full(w, s, format!("hosts={hosts},devs={devs}"), |cfg| {
                                 cfg.apply_topology(TopologySpec::multi_headed(hosts, devs));
                             })
                         })
@@ -33,27 +35,18 @@ fn main() {
             })
         })
         .collect();
-    h.prefetch(specs);
-    let cells = host_counts.len() * device_counts.len() * schemes.len();
+    let ms = h.measure_all(&points);
+    let cells = host_counts.len() * device_counts.len();
     let mut rows = Vec::new();
-    let mut per_cell: Vec<Vec<f64>> = vec![Vec::new(); cells];
-    for w in h.workloads() {
+    let mut per_cell: Vec<Vec<f64>> = vec![Vec::new(); cells * schemes.len()];
+    for (w, ms) in h.workloads.iter().zip(ms.chunks(cells * group)) {
         let mut row = vec![w.label().to_string()];
-        for (hi, hosts) in host_counts.iter().enumerate() {
-            for (di, devs) in device_counts.iter().enumerate() {
-                let hv = format!("hosts={hosts},devs={devs}");
-                let (hosts, devs) = (*hosts, *devs);
-                let native = h.measure(w, SchemeKind::Native, &hv, move |cfg| {
-                    cfg.apply_topology(TopologySpec::multi_headed(hosts, devs));
-                });
-                for (si, s) in schemes.iter().enumerate() {
-                    let m = h.measure(w, *s, &hv, move |cfg| {
-                        cfg.apply_topology(TopologySpec::multi_headed(hosts, devs));
-                    });
-                    let speedup = native.exec_cycles as f64 / m.exec_cycles.max(1) as f64;
-                    per_cell[(hi * device_counts.len() + di) * schemes.len() + si].push(speedup);
-                    row.push(format!("{speedup:.3}"));
-                }
+        for (ci, cell) in ms.chunks(group).enumerate() {
+            let native = &cell[0];
+            for (si, m) in cell[1..].iter().enumerate() {
+                let speedup = native.exec_cycles as f64 / m.exec_cycles.max(1) as f64;
+                per_cell[ci * schemes.len() + si].push(speedup);
+                row.push(format!("{speedup:.3}"));
             }
         }
         rows.push(row);
@@ -90,4 +83,5 @@ fn main() {
         }
     }
     println!();
+    Ok(())
 }

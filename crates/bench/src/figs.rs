@@ -1,20 +1,32 @@
 //! One function per paper table/figure; binaries in `src/bin` are thin
 //! wrappers. Output is TSV with the same rows/series the paper plots.
 
-use crate::{geomean, print_table, Harness, RunSpec, SweepSpec};
+use crate::{geomean, print_table, Harness, Measurement, Point};
 use pipm_core::CfgDelta;
 use pipm_types::{SchemeKind, SystemConfig};
 use pipm_workloads::Workload;
 
-/// Warms the run cache for the default-configuration matrix points
-/// `workloads × schemes` in parallel.
-fn prefetch_defaults(h: &Harness, schemes: &[SchemeKind]) {
-    let specs: Vec<RunSpec> = h
-        .workloads()
-        .into_iter()
-        .flat_map(|w| schemes.iter().map(move |&s| RunSpec::default_cfg(w, s)))
-        .collect();
-    h.prefetch(specs);
+/// Declares each workload's points with `row`, measures every point of
+/// the figure in one [`Harness::measure_all`] call, and returns each
+/// workload's measurements in `row` order.
+fn measure_rows(
+    h: &Harness,
+    row: impl Fn(Workload) -> Vec<Point>,
+) -> Vec<(Workload, Vec<Measurement>)> {
+    let points: Vec<Vec<Point>> = h.workloads.iter().map(|&w| row(w)).collect();
+    let mut ms = h.measure_all(&points.concat()).into_iter();
+    h.workloads
+        .iter()
+        .zip(&points)
+        .map(|(&w, p)| (w, ms.by_ref().take(p.len()).collect()))
+        .collect()
+}
+
+/// [`measure_rows`] over the default-configuration points of `schemes`.
+fn measure_defaults(h: &Harness, schemes: &[SchemeKind]) -> Vec<(Workload, Vec<Measurement>)> {
+    measure_rows(h, |w| {
+        schemes.iter().map(|&s| Point::default_cfg(w, s)).collect()
+    })
 }
 
 /// Table 1: the evaluated workloads, their suites, paper footprints, and
@@ -142,50 +154,41 @@ pub fn table2(_h: &Harness) {
 /// with the same ×10 ratios (DESIGN.md §4).
 pub fn fig04(h: &Harness) {
     let intervals = [("100ms", 2_500_000u64), ("10ms", 250_000), ("1ms", 25_000)];
-    let specs: Vec<RunSpec> = h
-        .workloads()
-        .into_iter()
-        .flat_map(|w| {
-            std::iter::once(RunSpec::default_cfg(w, SchemeKind::Native)).chain(
-                [SchemeKind::Nomad, SchemeKind::Memtis]
-                    .into_iter()
-                    .flat_map(move |scheme| {
-                        intervals.into_iter().map(move |(_, cycles)| {
-                            let variant = if cycles == 250_000 {
-                                String::new()
-                            } else {
-                                format!("interval={cycles}")
-                            };
-                            RunSpec::new(w, scheme, variant, move |cfg| {
-                                cfg.migration_interval_cycles = cycles;
-                            })
-                        })
-                    }),
-            )
-        })
-        .collect();
-    h.prefetch(specs);
+    let schemes = [SchemeKind::Nomad, SchemeKind::Memtis];
+    // Per workload: Native, then every (scheme, interval) cell.
+    let row = |w| {
+        std::iter::once(Point::default_cfg(w, SchemeKind::Native))
+            .chain(schemes.into_iter().flat_map(|scheme| {
+                intervals.into_iter().map(move |(_, cycles)| {
+                    let label = if cycles == 250_000 {
+                        String::new()
+                    } else {
+                        format!("interval={cycles}")
+                    };
+                    Point::full(w, scheme, label, |cfg| {
+                        cfg.migration_interval_cycles = cycles;
+                    })
+                })
+            }))
+            .collect()
+    };
     let mut rows = Vec::new();
-    for w in h.workloads() {
-        let native = h.measure_default(w, SchemeKind::Native);
-        for scheme in [SchemeKind::Nomad, SchemeKind::Memtis] {
-            for (label, cycles) in intervals {
-                let variant = if cycles == 250_000 {
-                    String::new()
-                } else {
-                    format!("interval={cycles}")
-                };
-                let m = h.measure(w, scheme, &variant, |cfg| {
-                    cfg.migration_interval_cycles = cycles;
-                });
+    let mut per_cell: Vec<Vec<f64>> = vec![Vec::new(); schemes.len() * intervals.len()];
+    for (w, ms) in measure_rows(h, row) {
+        let native = &ms[0];
+        for (si, scheme) in schemes.iter().enumerate() {
+            for (ii, (label, _)) in intervals.iter().enumerate() {
+                let cell = si * intervals.len() + ii;
+                let m = &ms[1 + cell];
                 let norm = m.exec_cycles as f64 / native.exec_cycles as f64;
                 let mgmt = m.mgmt_stall_sum as f64 / m.cores as f64 / native.exec_cycles as f64;
                 let transfer =
                     m.transfer_stall_sum as f64 / m.cores as f64 / native.exec_cycles as f64;
+                per_cell[cell].push(norm);
                 rows.push(vec![
                     w.label().into(),
                     scheme.label().into(),
-                    label.into(),
+                    (*label).into(),
                     format!("{norm:.3}"),
                     format!("{mgmt:.4}"),
                     format!("{transfer:.4}"),
@@ -199,28 +202,12 @@ pub fn fig04(h: &Harness) {
         &["workload", "scheme", "interval", "norm_exec", "mgmt", "transfer", "other"],
         &rows,
     );
-    for scheme in [SchemeKind::Nomad, SchemeKind::Memtis] {
-        for (label, cycles) in intervals {
-            let vals: Vec<f64> = h
-                .workloads()
-                .iter()
-                .map(|&w| {
-                    let native = h.measure_default(w, SchemeKind::Native);
-                    let variant = if cycles == 250_000 {
-                        String::new()
-                    } else {
-                        format!("interval={cycles}")
-                    };
-                    let m = h.measure(w, scheme, &variant, |cfg| {
-                        cfg.migration_interval_cycles = cycles;
-                    });
-                    m.exec_cycles as f64 / native.exec_cycles as f64
-                })
-                .collect();
+    for (si, scheme) in schemes.iter().enumerate() {
+        for (ii, (label, _)) in intervals.iter().enumerate() {
             println!(
                 "# geomean {} @{label}: {:.3}",
                 scheme.label(),
-                geomean(&vals)
+                geomean(&per_cell[si * intervals.len() + ii])
             );
         }
     }
@@ -230,13 +217,11 @@ pub fn fig04(h: &Harness) {
 /// Figure 5: percentage of harmful page migrations for Nomad and Memtis
 /// (default interval).
 pub fn fig05(h: &Harness) {
-    prefetch_defaults(h, &[SchemeKind::Nomad, SchemeKind::Memtis]);
     let mut rows = Vec::new();
     let mut per_scheme: Vec<Vec<f64>> = vec![Vec::new(), Vec::new()];
-    for w in h.workloads() {
+    for (w, ms) in measure_defaults(h, &[SchemeKind::Nomad, SchemeKind::Memtis]) {
         let mut row = vec![w.label().to_string()];
-        for (i, scheme) in [SchemeKind::Nomad, SchemeKind::Memtis].iter().enumerate() {
-            let m = h.measure_default(w, *scheme);
+        for (i, m) in ms.iter().enumerate() {
             let frac = m.harmful_fraction();
             per_scheme[i].push(frac);
             row.push(format!("{:.1}%", frac * 100.0));
@@ -255,6 +240,7 @@ pub fn fig05(h: &Harness) {
     println!();
 }
 
+/// Native first: every row normalizes to its first measurement.
 const FIG10_SCHEMES: [SchemeKind; 8] = [
     SchemeKind::Native,
     SchemeKind::Nomad,
@@ -268,14 +254,12 @@ const FIG10_SCHEMES: [SchemeKind; 8] = [
 
 /// Figure 10: end-to-end speedup over Native CXL-DSM for every scheme.
 pub fn fig10(h: &Harness) {
-    prefetch_defaults(h, &FIG10_SCHEMES);
     let mut rows = Vec::new();
     let mut per_scheme: Vec<Vec<f64>> = vec![Vec::new(); FIG10_SCHEMES.len()];
-    for w in h.workloads() {
-        let native = h.measure_default(w, SchemeKind::Native);
+    for (w, ms) in measure_defaults(h, &FIG10_SCHEMES) {
+        let native = &ms[0];
         let mut row = vec![w.label().to_string()];
-        for (i, s) in FIG10_SCHEMES.iter().enumerate() {
-            let m = h.measure_default(w, *s);
+        for (i, m) in ms.iter().enumerate() {
             let speedup = native.exec_cycles as f64 / m.exec_cycles.max(1) as f64;
             per_scheme[i].push(speedup);
             row.push(format!("{speedup:.3}"));
@@ -304,13 +288,11 @@ pub fn fig11(h: &Harness) {
         SchemeKind::HwStatic,
         SchemeKind::Pipm,
     ];
-    prefetch_defaults(h, &schemes);
     let mut rows = Vec::new();
     let mut per_scheme: Vec<Vec<f64>> = vec![Vec::new(); schemes.len()];
-    for w in h.workloads() {
+    for (w, ms) in measure_defaults(h, &schemes) {
         let mut row = vec![w.label().to_string()];
-        for (i, s) in schemes.iter().enumerate() {
-            let m = h.measure_default(w, *s);
+        for (i, m) in ms.iter().enumerate() {
             per_scheme[i].push(m.local_hit);
             row.push(format!("{:.1}%", m.local_hit * 100.0));
         }
@@ -339,25 +321,13 @@ pub fn fig12(h: &Harness) {
         SchemeKind::HwStatic,
         SchemeKind::Pipm,
     ];
-    prefetch_defaults(
-        h,
-        &[
-            SchemeKind::Native,
-            SchemeKind::Nomad,
-            SchemeKind::Memtis,
-            SchemeKind::Hemem,
-            SchemeKind::OsSkew,
-            SchemeKind::HwStatic,
-            SchemeKind::Pipm,
-        ],
-    );
+    let with_native: Vec<SchemeKind> = std::iter::once(SchemeKind::Native).chain(schemes).collect();
     let mut rows = Vec::new();
     let mut per_scheme: Vec<Vec<f64>> = vec![Vec::new(); schemes.len()];
-    for w in h.workloads() {
-        let native = h.measure_default(w, SchemeKind::Native);
+    for (w, ms) in measure_defaults(h, &with_native) {
+        let native = &ms[0];
         let mut row = vec![w.label().to_string()];
-        for (i, s) in schemes.iter().enumerate() {
-            let m = h.measure_default(w, *s);
+        for (i, m) in ms[1..].iter().enumerate() {
             let frac = m.interhost_stall_fraction(native.exec_cycles);
             per_scheme[i].push(frac);
             row.push(format!("{:.2}%", frac * 100.0));
@@ -385,32 +355,23 @@ pub fn fig12(h: &Harness) {
 /// HW-static's static partition reserves `1/hosts` of the space by
 /// construction (reported as the paper does).
 pub fn fig13(h: &Harness) {
+    // The kernel-migration schemes, then PIPM last.
     let schemes = [
         SchemeKind::Nomad,
         SchemeKind::Hemem,
         SchemeKind::Memtis,
         SchemeKind::OsSkew,
+        SchemeKind::Pipm,
     ];
-    prefetch_defaults(
-        h,
-        &[
-            SchemeKind::Nomad,
-            SchemeKind::Hemem,
-            SchemeKind::Memtis,
-            SchemeKind::OsSkew,
-            SchemeKind::Pipm,
-        ],
-    );
     let mut rows = Vec::new();
-    for w in h.workloads() {
+    for (w, ms) in measure_defaults(h, &schemes) {
+        let (p, kernel) = ms.split_last().expect("PIPM is measured last");
         let mut row = vec![w.label().to_string()];
-        for s in schemes {
-            let m = h.measure_default(w, s);
+        for m in kernel {
             row.push(format!("{:.2}%", m.footprint_page * 100.0));
         }
         // HW-static: fixed uniform partition (Intel-Flat-Mode-like).
         row.push("25.00%".into());
-        let p = h.measure_default(w, SchemeKind::Pipm);
         row.push(format!("{:.2}%", p.footprint_page * 100.0));
         row.push(format!("{:.2}%", p.footprint_line * 100.0));
         rows.push(row);
@@ -436,46 +397,16 @@ pub fn fig13(h: &Harness) {
 /// `(workload, scheme)` simulates one warmed prefix and forks it per
 /// latency point, with only the measured tail under the swept latency.
 pub fn fig14(h: &Harness) {
-    let latencies = [("50ns", 50.0), ("100ns", 100.0)];
     let delta = |ns: f64| CfgDelta {
         link_latency_ns: Some(ns),
         ..CfgDelta::default()
     };
-    let specs: Vec<SweepSpec> = h
-        .workloads()
-        .into_iter()
-        .flat_map(|w| {
-            latencies.into_iter().flat_map(move |(label, ns)| {
-                [SchemeKind::Native, SchemeKind::Pipm]
-                    .into_iter()
-                    .map(move |s| SweepSpec::new(w, s, format!("lat={label}"), delta(ns)))
-            })
-        })
-        .collect();
-    let _ = h.measure_sweep_many(&specs);
-    let mut rows = Vec::new();
-    let mut per_lat: Vec<Vec<f64>> = vec![Vec::new(); latencies.len()];
-    for w in h.workloads() {
-        let mut row = vec![w.label().to_string()];
-        for (i, (label, ns)) in latencies.iter().enumerate() {
-            let variant = format!("lat={label}");
-            let native = h.measure_sweep(w, SchemeKind::Native, &variant, delta(*ns));
-            let pipm = h.measure_sweep(w, SchemeKind::Pipm, &variant, delta(*ns));
-            let speedup = native.exec_cycles as f64 / pipm.exec_cycles.max(1) as f64;
-            per_lat[i].push(speedup);
-            row.push(format!("{speedup:.3}"));
-        }
-        rows.push(row);
-    }
-    print_table(
+    pipm_over_native_sweep(
+        h,
         "Figure 14: PIPM speedup over Native vs CXL link latency",
-        &["workload", "50ns", "100ns"],
-        &rows,
+        "lat",
+        &[("50ns", delta(50.0)), ("100ns", delta(100.0))],
     );
-    for (i, (label, _)) in latencies.iter().enumerate() {
-        println!("# geomean @{label}: {:.3}", geomean(&per_lat[i]));
-    }
-    println!();
 }
 
 /// Figure 15: PIPM speedup over Native under different CXL link
@@ -483,44 +414,52 @@ pub fn fig14(h: &Harness) {
 /// checkpointed sweep sharing its warmed prefixes with Fig. 14 (same
 /// base configuration, so the checkpoint cache serves both).
 pub fn fig15(h: &Harness) {
-    let bws = [("x8", 4.0), ("x16", 8.0), ("x32", 16.0)];
     let delta = |gbps: f64| CfgDelta {
         link_gbps: Some(gbps),
         ..CfgDelta::default()
     };
-    let specs: Vec<SweepSpec> = h
-        .workloads()
-        .into_iter()
-        .flat_map(|w| {
-            bws.into_iter().flat_map(move |(label, gbps)| {
+    pipm_over_native_sweep(
+        h,
+        "Figure 15: PIPM speedup over Native vs CXL link bandwidth",
+        "bw",
+        &[
+            ("x8", delta(4.0)),
+            ("x16", delta(8.0)),
+            ("x32", delta(16.0)),
+        ],
+    );
+}
+
+/// Shared Fig. 14/15 driver: PIPM's speedup over Native at each swept
+/// point, with the points labelled `{name}={label}`.
+fn pipm_over_native_sweep(h: &Harness, title: &str, name: &str, sweep: &[(&str, CfgDelta)]) {
+    let row = |w| {
+        sweep
+            .iter()
+            .flat_map(|(label, delta)| {
                 [SchemeKind::Native, SchemeKind::Pipm]
-                    .into_iter()
-                    .map(move |s| SweepSpec::new(w, s, format!("bw={label}"), delta(gbps)))
+                    .map(|s| Point::sweep(w, s, format!("{name}={label}"), *delta))
             })
-        })
-        .collect();
-    let _ = h.measure_sweep_many(&specs);
+            .collect()
+    };
     let mut rows = Vec::new();
-    let mut per_bw: Vec<Vec<f64>> = vec![Vec::new(); bws.len()];
-    for w in h.workloads() {
+    let mut per_point: Vec<Vec<f64>> = vec![Vec::new(); sweep.len()];
+    for (w, ms) in measure_rows(h, row) {
         let mut row = vec![w.label().to_string()];
-        for (i, (label, gbps)) in bws.iter().enumerate() {
-            let variant = format!("bw={label}");
-            let native = h.measure_sweep(w, SchemeKind::Native, &variant, delta(*gbps));
-            let pipm = h.measure_sweep(w, SchemeKind::Pipm, &variant, delta(*gbps));
+        for (i, pair) in ms.chunks(2).enumerate() {
+            let (native, pipm) = (&pair[0], &pair[1]);
             let speedup = native.exec_cycles as f64 / pipm.exec_cycles.max(1) as f64;
-            per_bw[i].push(speedup);
+            per_point[i].push(speedup);
             row.push(format!("{speedup:.3}"));
         }
         rows.push(row);
     }
-    print_table(
-        "Figure 15: PIPM speedup over Native vs CXL link bandwidth",
-        &["workload", "x8", "x16", "x32"],
-        &rows,
-    );
-    for (i, (label, _)) in bws.iter().enumerate() {
-        println!("# geomean @{label}: {:.3}", geomean(&per_bw[i]));
+    let header: Vec<&str> = std::iter::once("workload")
+        .chain(sweep.iter().map(|(l, _)| *l))
+        .collect();
+    print_table(title, &header, &rows);
+    for (i, (label, _)) in sweep.iter().enumerate() {
+        println!("# geomean @{label}: {:.3}", geomean(&per_point[i]));
     }
     println!();
 }
@@ -579,43 +518,29 @@ fn remap_cache_sweep(h: &Harness, title: &str, sizes: &[(&str, u64)], local: boo
             }
         }
     };
-    let specs: Vec<SweepSpec> = h
-        .workloads()
-        .into_iter()
-        .flat_map(|w| {
-            sizes.iter().map(move |(label, bytes)| {
-                SweepSpec::new(
+    let row = |w| {
+        sizes
+            .iter()
+            .map(|(label, bytes)| {
+                Point::sweep(
                     w,
                     SchemeKind::Pipm,
                     format!("{prefix}rc={label}"),
                     delta(*bytes),
                 )
             })
-        })
-        .collect();
-    let _ = h.measure_sweep_many(&specs);
-    let (inf_label, inf_bytes) = sizes
+            .collect()
+    };
+    let inf = sizes
         .iter()
-        .find(|(l, _)| *l == "inf")
+        .position(|(l, _)| *l == "inf")
         .expect("remap cache sweeps include the infinite normalization point");
     let mut rows = Vec::new();
     let mut per_size: Vec<Vec<f64>> = vec![Vec::new(); sizes.len()];
-    for w in h.workloads() {
-        let inf = h.measure_sweep(
-            w,
-            SchemeKind::Pipm,
-            &format!("{prefix}rc={inf_label}"),
-            delta(*inf_bytes),
-        );
+    for (w, ms) in measure_rows(h, row) {
         let mut row = vec![w.label().to_string()];
-        for (i, (label, bytes)) in sizes.iter().enumerate() {
-            let m = h.measure_sweep(
-                w,
-                SchemeKind::Pipm,
-                &format!("{prefix}rc={label}"),
-                delta(*bytes),
-            );
-            let rel = inf.exec_cycles as f64 / m.exec_cycles.max(1) as f64;
+        for (i, m) in ms.iter().enumerate() {
+            let rel = ms[inf].exec_cycles as f64 / m.exec_cycles.max(1) as f64;
             per_size[i].push(rel);
             row.push(format!("{rel:.4}"));
         }
@@ -642,24 +567,22 @@ pub fn threshold_sweep(h: &Harness) {
         migration_threshold: Some(t),
         ..CfgDelta::default()
     };
-    let specs: Vec<SweepSpec> = h
-        .workloads()
-        .into_iter()
-        .flat_map(|w| {
-            thresholds
-                .into_iter()
-                .map(move |t| SweepSpec::new(w, SchemeKind::Pipm, format!("thr={t}"), delta(t)))
-        })
-        .collect();
-    let _ = h.measure_sweep_many(&specs);
+    let row = |w| {
+        thresholds
+            .into_iter()
+            .map(|t| Point::sweep(w, SchemeKind::Pipm, format!("thr={t}"), delta(t)))
+            .collect()
+    };
+    let base = thresholds
+        .iter()
+        .position(|&t| t == 8)
+        .expect("threshold 8 is swept");
     let mut rows = Vec::new();
     let mut per_thr: Vec<Vec<f64>> = vec![Vec::new(); thresholds.len()];
-    for w in h.workloads() {
-        let base = h.measure_sweep(w, SchemeKind::Pipm, "thr=8", delta(8));
+    for (w, ms) in measure_rows(h, row) {
         let mut row = vec![w.label().to_string()];
-        for (i, t) in thresholds.iter().enumerate() {
-            let m = h.measure_sweep(w, SchemeKind::Pipm, &format!("thr={t}"), delta(*t));
-            let rel = base.exec_cycles as f64 / m.exec_cycles.max(1) as f64;
+        for (i, m) in ms.iter().enumerate() {
+            let rel = ms[base].exec_cycles as f64 / m.exec_cycles.max(1) as f64;
             per_thr[i].push(rel);
             row.push(format!("{rel:.3}"));
         }
@@ -683,5 +606,25 @@ pub fn verify_protocol() {
         let report = pipm_mcheck::Checker::new(hosts).run();
         println!("{report}");
         assert!(report.is_ok(), "protocol verification failed");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn each_figure_looks_up_each_point_once() {
+        let mut h = Harness::with_settings(10_000, 7, None, 2);
+        h.workloads = vec![Workload::Bfs];
+        let counts = |figure: fn(&Harness)| {
+            let before = h.counters();
+            figure(&h);
+            let c = h.counters().since(&before);
+            (c.runs, c.cache_hits)
+        };
+        assert_eq!(counts(fig10), (8, 0), "fig10: 8 schemes, one run each");
+        assert_eq!(counts(fig11), (0, 6), "fig11: 6 schemes, one hit each");
+        assert_eq!(counts(fig16), (4, 0), "fig16: 4 sizes, one run each");
     }
 }

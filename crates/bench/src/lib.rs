@@ -7,23 +7,27 @@
 //! scheme, parameters), so figures sharing runs (Fig. 10–13 all use the
 //! default-configuration matrix) pay for them once.
 //!
-//! Simulation points fan out across worker threads: every figure first
-//! [`Harness::prefetch`]es its full `(workload, scheme, variant)` run
-//! set, which [`Harness::measure_many`] executes in parallel under the
-//! shared [`pipm_core::RunCache`] with in-flight deduplication (two
-//! figures never simulate the same point twice, even concurrently).
-//! Points are keyed by the canonical [`pipm_core::job_key`] content
-//! address of `(workload, scheme, cfg, params)` — the same fingerprint
-//! the `pipm-serve` daemon uses, so any consumer of the simulator
-//! addresses identical runs identically. Each `System` is fully
-//! self-contained, so parallel results are bit-identical to serial ones
-//! (`tests/determinism.rs` asserts this).
+//! Each figure declares its `(workload, scheme, configuration)` grid
+//! once as a list of [`Point`]s and measures it with one
+//! [`Harness::measure_all`] call, which fans the points out across worker
+//! threads ([`pipm_core::par_map`]) under the shared
+//! [`pipm_core::RunCache`] with in-flight deduplication (two figures
+//! never simulate the same point twice, even concurrently), and formats
+//! its table from the returned vector. Full-run points are keyed by the
+//! canonical [`pipm_core::job_key`] content address of `(workload,
+//! scheme, cfg, params)` — the same fingerprint the `pipm-serve` daemon
+//! uses, so any consumer of the simulator addresses identical runs
+//! identically. Each `System` is fully self-contained, so parallel
+//! results are bit-identical to serial ones (`tests/determinism.rs`
+//! asserts this).
 //!
 //! Scale knobs (environment variables):
 //!
 //! * `PIPM_SCALE` — multiplies references per core (default 1.0 →
-//!   400 K refs/core; the EXPERIMENTS.md results use the default).
+//!   400 K refs/core; the EXPERIMENTS.md results use the default). A
+//!   value that is not a finite positive number is an error.
 //! * `PIPM_WORKLOADS` — comma-separated workload filter (default: all 13).
+//!   An unknown name or an empty list is an error.
 //! * `PIPM_NO_CACHE` — ignore the on-disk result cache.
 //! * `PIPM_WORKERS` — worker-thread count (default: available
 //!   parallelism; non-numeric values warn and fall back).
@@ -41,14 +45,14 @@ pub mod stats;
 pub mod svg;
 
 use pipm_core::{
-    checkpoint_key, job_key, resume_one, run_one, run_one_with_delta, run_prefix_one, CfgDelta,
-    Checkpoint, RunCache, RunResult,
+    checkpoint_key, job_key, par_map, resume_one, run_one, run_one_with_delta, run_prefix_one,
+    CfgDelta, Checkpoint, RunCache, RunResult,
 };
 use pipm_types::{AccessClass, SchemeKind, SystemConfig};
 use pipm_workloads::{Workload, WorkloadParams};
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -206,69 +210,66 @@ impl Measurement {
     }
 }
 
-/// One simulation point: what [`Harness::measure_many`] fans out.
-pub struct RunSpec {
-    /// Workload to simulate.
-    pub workload: Workload,
-    /// Scheme to simulate.
-    pub scheme: SchemeKind,
-    /// Unique name of the configuration deviation ("" for default).
-    pub variant: String,
-    /// The configuration deviation itself.
-    pub cfg_mod: Box<dyn Fn(&mut SystemConfig) + Send + Sync>,
+/// How a [`Point`] is simulated.
+#[derive(Clone, Debug)]
+enum PointRun {
+    /// One full simulation under this configuration.
+    Full(Box<SystemConfig>),
+    /// A checkpointed sweep point: the warmed prefix under the sweep base
+    /// configuration (shared by every point of the same `(workload,
+    /// scheme)`), then the measured tail under this delta.
+    Sweep(CfgDelta),
 }
 
-impl RunSpec {
-    /// A point with a configuration deviation named by `variant`.
-    pub fn new(
+/// One simulation point of a figure: what [`Harness::measure_all`]
+/// measures.
+#[derive(Clone, Debug)]
+pub struct Point {
+    workload: Workload,
+    scheme: SchemeKind,
+    /// Display name of the configuration deviation ("" for the default),
+    /// shown on the `[run]` lines; not part of the cache key.
+    label: String,
+    run: PointRun,
+}
+
+impl Point {
+    /// A full run under the experiment-scale configuration as changed by
+    /// `edit`.
+    pub fn full(
         workload: Workload,
         scheme: SchemeKind,
-        variant: impl Into<String>,
-        cfg_mod: impl Fn(&mut SystemConfig) + Send + Sync + 'static,
+        label: impl Into<String>,
+        edit: impl FnOnce(&mut SystemConfig),
     ) -> Self {
-        RunSpec {
+        let mut cfg = SystemConfig::experiment_scale();
+        edit(&mut cfg);
+        Point {
             workload,
             scheme,
-            variant: variant.into(),
-            cfg_mod: Box::new(cfg_mod),
+            label: label.into(),
+            run: PointRun::Full(Box::new(cfg)),
         }
     }
 
-    /// A default-configuration point (the Fig. 10–13 matrix).
+    /// A full run under the default experiment-scale configuration (the
+    /// Fig. 10–13 matrix).
     pub fn default_cfg(workload: Workload, scheme: SchemeKind) -> Self {
-        RunSpec::new(workload, scheme, "", |_| {})
+        Point::full(workload, scheme, "", |_| {})
     }
-}
 
-/// One point of a checkpointed parameter sweep: the base run is shared
-/// (one warmed prefix per `(workload, scheme)`), and only the `delta`
-/// distinguishes the points — what [`Harness::measure_sweep_many`] fans
-/// out.
-#[derive(Clone, Debug)]
-pub struct SweepSpec {
-    /// Workload to simulate.
-    pub workload: Workload,
-    /// Scheme to simulate.
-    pub scheme: SchemeKind,
-    /// Unique name of the sweep point ("" for the default value).
-    pub variant: String,
-    /// The late-binding configuration deviation of this point.
-    pub delta: CfgDelta,
-}
-
-impl SweepSpec {
-    /// A sweep point named `variant` applying `delta` to the tail.
-    pub fn new(
+    /// A checkpointed sweep point applying `delta` to the measured tail.
+    pub fn sweep(
         workload: Workload,
         scheme: SchemeKind,
-        variant: impl Into<String>,
+        label: impl Into<String>,
         delta: CfgDelta,
     ) -> Self {
-        SweepSpec {
+        Point {
             workload,
             scheme,
-            variant: variant.into(),
-            delta,
+            label: label.into(),
+            run: PointRun::Sweep(delta),
         }
     }
 }
@@ -334,6 +335,8 @@ pub struct Harness {
     pub refs_per_core: u64,
     /// Master seed.
     pub seed: u64,
+    /// Workloads every figure covers, in row order.
+    pub workloads: Vec<Workload>,
     workers: usize,
     quiet: bool,
     no_fork: bool,
@@ -391,13 +394,46 @@ fn env_workers(value: Option<&str>, default: usize) -> (usize, Option<String>) {
     }
 }
 
+/// Interprets a `PIPM_SCALE` value: unset is 1.0; anything but a finite
+/// positive number is an error naming the variable and the value.
+fn env_scale(value: Option<&str>) -> Result<f64, String> {
+    let Some(v) = value else { return Ok(1.0) };
+    match v.trim().parse::<f64>() {
+        Ok(scale) if scale.is_finite() && scale > 0.0 => Ok(scale),
+        _ => Err(format!("PIPM_SCALE='{v}' is not a finite positive number")),
+    }
+}
+
+/// Interprets a `PIPM_WORKLOADS` value: unset is every workload; an
+/// empty list or an unknown name is an error naming the variable and the
+/// value.
+fn env_workloads(value: Option<&str>) -> Result<Vec<Workload>, String> {
+    let Some(v) = value else {
+        return Ok(Workload::ALL.to_vec());
+    };
+    if v.trim().is_empty() {
+        return Err(format!("PIPM_WORKLOADS='{v}' names no workload"));
+    }
+    v.split(',')
+        .map(|name| {
+            name.trim().parse().map_err(|_| {
+                let known: Vec<&str> = Workload::ALL.iter().map(|w| w.label()).collect();
+                format!(
+                    "PIPM_WORKLOADS='{v}': unknown workload '{}' (known: {})",
+                    name.trim(),
+                    known.join(",")
+                )
+            })
+        })
+        .collect()
+}
+
 impl Harness {
-    /// Builds the harness from the environment (see crate docs).
-    pub fn from_env() -> Self {
-        let scale: f64 = std::env::var("PIPM_SCALE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1.0);
+    /// Builds the harness from the environment (see crate docs). A
+    /// malformed `PIPM_SCALE` or `PIPM_WORKLOADS` is an error.
+    pub fn from_env() -> Result<Self, String> {
+        let scale = env_scale(std::env::var("PIPM_SCALE").ok().as_deref())?;
+        let workloads = env_workloads(std::env::var("PIPM_WORKLOADS").ok().as_deref())?;
         let refs = ((400_000.0 * scale) as u64).max(10_000);
         let cache_path = if env_flag(std::env::var("PIPM_NO_CACHE").ok().as_deref()) {
             None
@@ -413,12 +449,14 @@ impl Harness {
             eprintln!("warning: {w}");
         }
         let mut h = Harness::with_settings(refs, 0x51_57, cache_path, workers);
+        h.workloads = workloads;
         h.quiet = env_flag(std::env::var("PIPM_QUIET").ok().as_deref());
-        h
+        Ok(h)
     }
 
-    /// Builds a harness with explicit settings (no environment reads);
-    /// used by tests. `cache_path = None` disables the on-disk cache.
+    /// Builds a harness with explicit settings (no environment reads)
+    /// covering every workload; used by tests. `cache_path = None`
+    /// disables the on-disk cache.
     pub fn with_settings(
         refs_per_core: u64,
         seed: u64,
@@ -442,6 +480,7 @@ impl Harness {
         Harness {
             refs_per_core,
             seed,
+            workloads: Workload::ALL.to_vec(),
             // One clamp policy for every PIPM_WORKERS-driven pool: more
             // threads than cores only adds scheduling overhead (warns once).
             workers: pipm_core::effective_workers(workers).max(1),
@@ -468,122 +507,99 @@ impl Harness {
         self.no_fork = no_fork;
     }
 
-    /// Number of worker threads [`Harness::measure_many`] fans out to.
+    /// Number of worker threads [`Harness::measure_all`] fans out to.
     pub fn workers(&self) -> usize {
         self.workers
     }
 
-    /// The workload list, honouring the `PIPM_WORKLOADS` filter.
-    pub fn workloads(&self) -> Vec<Workload> {
-        match std::env::var("PIPM_WORKLOADS") {
-            Ok(list) => list
-                .split(',')
-                .filter_map(|s| s.trim().parse().ok())
-                .collect(),
-            Err(_) => Workload::ALL.to_vec(),
-        }
+    /// Measures every point, fanning them out across
+    /// [`Harness::workers`] threads, and returns the measurements in
+    /// point order. Each point is looked up once in the run cache;
+    /// uncached points are simulated. Concurrent lookups of the same
+    /// point deduplicate: one worker simulates, the others block until
+    /// the result lands in the cache (see [`pipm_core::RunCache`]).
+    /// Results are bit-identical to a serial run (each `System` is
+    /// self-contained; see `tests/determinism.rs`).
+    ///
+    /// A full-run point is keyed by the canonical [`pipm_core::job_key`]
+    /// over its configuration, so two figures can never alias distinct
+    /// configurations (and identical points always share one run,
+    /// whatever they are labelled). A sweep point's warmed prefix (the
+    /// warm-up window, 2/3 of the run) is simulated **once** per
+    /// `(workload, scheme)` under the base configuration and cached as a
+    /// [`Checkpoint`]; the point then forks the checkpoint and simulates
+    /// only the measured tail under its delta. Results are bit-identical
+    /// to an uninterrupted run applying the delta at the same boundary
+    /// (`tests/checkpoint.rs`), which is what [`Harness::set_no_fork`]
+    /// falls back to. Sweep points live in their own cache namespace
+    /// (`sweep-v1|…`): prefix-under-base + tail-under-delta is *not* the
+    /// same run as a full simulation under the delta'd configuration.
+    pub fn measure_all(&self, points: &[Point]) -> Vec<Measurement> {
+        par_map(points, self.workers, |p| self.measure_point(p))
     }
 
-    /// Runs (or retrieves from cache) `workload` under `scheme` with the
-    /// experiment-scale configuration modified by `cfg_mod`. `variant`
-    /// names the configuration deviation for display ("" for default);
-    /// the cache key is the canonical [`pipm_core::job_key`] content
-    /// address over the *modified* configuration, so two figures can
-    /// never alias distinct configurations (and identical points always
-    /// share one run, whatever they are called).
-    ///
-    /// Thread-safe: concurrent calls for the same point deduplicate —
-    /// one caller simulates, the others block until the result lands in
-    /// the cache (see [`pipm_core::RunCache`]).
-    pub fn measure(
-        &self,
-        workload: Workload,
-        scheme: SchemeKind,
-        variant: &str,
-        cfg_mod: impl FnOnce(&mut SystemConfig),
-    ) -> Measurement {
-        let mut cfg = SystemConfig::experiment_scale();
-        cfg_mod(&mut cfg);
+    fn measure_point(&self, p: &Point) -> Measurement {
         let params = WorkloadParams {
             refs_per_core: self.refs_per_core,
             seed: self.seed,
         };
-        let key = job_key(workload, scheme, &cfg, &params);
-        self.cache.get_or_compute(&key, || {
-            let started = Instant::now();
-            let run = run_one(workload, scheme, cfg.clone(), &params);
-            let wall = started.elapsed();
-            let m = Measurement::from_run(&run);
-            self.record_run(workload, scheme, variant, &m, wall);
-            self.append_disk_cache(&key, &m);
-            m
-        })
+        match &p.run {
+            PointRun::Full(cfg) => {
+                let key = job_key(p.workload, p.scheme, cfg, &params);
+                self.cache.get_or_compute(&key, || {
+                    let started = Instant::now();
+                    let run = run_one(p.workload, p.scheme, cfg.as_ref().clone(), &params);
+                    self.record_run(p, &key, &run, started.elapsed())
+                })
+            }
+            PointRun::Sweep(delta) => {
+                let cfg = self.sweep_base_cfg();
+                let prefix = self.sweep_prefix_refs(&cfg);
+                let key = format!(
+                    "sweep-v1|{}|prefix={prefix}|delta={delta:?}",
+                    job_key(p.workload, p.scheme, &cfg, &params)
+                );
+                self.cache.get_or_compute(&key, || {
+                    let (run, wall) = if self.no_fork {
+                        let started = Instant::now();
+                        let run = run_one_with_delta(
+                            p.workload,
+                            p.scheme,
+                            cfg.clone(),
+                            &params,
+                            prefix,
+                            delta,
+                        );
+                        (run, started.elapsed())
+                    } else {
+                        let ckpt = self.warmed_checkpoint(p, &cfg, &params, prefix);
+                        self.ckpt_forks.fetch_add(1, Ordering::Relaxed);
+                        let started = Instant::now();
+                        let run = resume_one(p.workload, p.scheme, ckpt, delta);
+                        (run, started.elapsed())
+                    };
+                    self.record_run(p, &key, &run, wall)
+                })
+            }
+        }
     }
 
+    /// Appends one cache line to the on-disk cache. The line is written
+    /// with a single `write_all` on an append-mode file, so lines from
+    /// parallel workers never interleave.
     fn append_disk_cache(&self, key: &str, m: &Measurement) {
         let Some(p) = &self.cache_path else { return };
         if let Some(dir) = p.parent() {
             let _ = std::fs::create_dir_all(dir);
         }
+        let line = format!("{key}\t{}\n", m.to_tsv());
         if let Ok(mut f) = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(p)
         {
-            let _ = writeln!(f, "{key}\t{}", m.to_tsv());
+            let _ = f.write_all(line.as_bytes());
         }
-    }
-
-    /// Default-configuration measurement (the Fig. 10–13 matrix).
-    pub fn measure_default(&self, workload: Workload, scheme: SchemeKind) -> Measurement {
-        self.measure(workload, scheme, "", |_| {})
-    }
-
-    /// Measures every spec, fanning uncached points out across
-    /// [`Harness::workers`] scoped threads. Results come back in spec
-    /// order and are bit-identical to serial [`Harness::measure`] calls
-    /// (each `System` is self-contained; see `tests/determinism.rs`).
-    pub fn measure_many(&self, specs: &[RunSpec]) -> Vec<Measurement> {
-        if specs.is_empty() {
-            return Vec::new();
-        }
-        let threads = self.workers.min(specs.len());
-        if threads <= 1 {
-            return specs
-                .iter()
-                .map(|s| self.measure(s.workload, s.scheme, &s.variant, |c| (s.cfg_mod)(c)))
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        let results: Vec<Mutex<Option<Measurement>>> =
-            specs.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(spec) = specs.get(i) else { break };
-                    let m = self.measure(spec.workload, spec.scheme, &spec.variant, |c| {
-                        (spec.cfg_mod)(c)
-                    });
-                    *results[i].lock().expect("result slot poisoned") = Some(m);
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("worker completed every claimed spec")
-            })
-            .collect()
-    }
-
-    /// Warms the run cache for `specs` in parallel, discarding the
-    /// measurements. Figures call this up front so their (serial)
-    /// formatting loops hit a warm cache.
-    pub fn prefetch(&self, specs: Vec<RunSpec>) {
-        let _ = self.measure_many(&specs);
     }
 
     /// The base configuration shared by every point of a checkpointed
@@ -605,68 +621,19 @@ impl Harness {
         (cfg.warmup_fraction * total as f64) as u64
     }
 
-    /// Measures one point of a parameter sweep: the run's warmed prefix
-    /// (the warm-up window, 2/3 of the run) is simulated **once** per
-    /// `(workload, scheme)` under the base configuration and cached as a
-    /// [`Checkpoint`]; this point then forks the checkpoint and simulates
-    /// only the measured tail under `delta`. Results are bit-identical
-    /// to an uninterrupted run applying `delta` at the same boundary
-    /// (`tests/checkpoint.rs`), which is exactly what
-    /// [`Harness::set_no_fork`] falls back to.
-    ///
-    /// Sweep points live in their own cache namespace (`sweep-v1|…`):
-    /// a sweep measurement is prefix-under-base + tail-under-delta, which
-    /// is *not* the same run as a full simulation under the delta'd
-    /// configuration, so it must never alias a [`Harness::measure`] key.
-    pub fn measure_sweep(
-        &self,
-        workload: Workload,
-        scheme: SchemeKind,
-        variant: &str,
-        delta: CfgDelta,
-    ) -> Measurement {
-        let cfg = self.sweep_base_cfg();
-        let params = WorkloadParams {
-            refs_per_core: self.refs_per_core,
-            seed: self.seed,
-        };
-        let prefix = self.sweep_prefix_refs(&cfg);
-        let key = format!(
-            "sweep-v1|{}|prefix={prefix}|delta={delta:?}",
-            job_key(workload, scheme, &cfg, &params)
-        );
-        self.cache.get_or_compute(&key, || {
-            let (run, wall) = if self.no_fork {
-                let started = Instant::now();
-                let run =
-                    run_one_with_delta(workload, scheme, cfg.clone(), &params, prefix, &delta);
-                (run, started.elapsed())
-            } else {
-                let ckpt = self.warmed_checkpoint(workload, scheme, &cfg, &params, prefix);
-                self.ckpt_forks.fetch_add(1, Ordering::Relaxed);
-                let started = Instant::now();
-                let run = resume_one(workload, scheme, ckpt, &delta);
-                (run, started.elapsed())
-            };
-            let m = Measurement::from_run(&run);
-            self.record_run(workload, scheme, variant, &m, wall);
-            self.append_disk_cache(&key, &m);
-            m
-        })
-    }
-
-    /// Returns a fork of the warmed checkpoint for `(workload, scheme)`
-    /// under the sweep base configuration, simulating the prefix on the
-    /// first request. Concurrent requests deduplicate: one worker
-    /// simulates the prefix, the others block and are handed forks.
+    /// Returns a fork of the warmed checkpoint for the point's
+    /// `(workload, scheme)` under the sweep base configuration,
+    /// simulating the prefix on the first request. Concurrent requests
+    /// deduplicate: one worker simulates the prefix, the others block and
+    /// are handed forks.
     fn warmed_checkpoint(
         &self,
-        workload: Workload,
-        scheme: SchemeKind,
+        p: &Point,
         cfg: &SystemConfig,
         params: &WorkloadParams,
         prefix: u64,
     ) -> Checkpoint {
+        let (workload, scheme) = (p.workload, p.scheme);
         let key = checkpoint_key(workload, scheme, cfg, params, prefix);
         self.ckpt_cache.get_or_compute(&key, || {
             let started = Instant::now();
@@ -686,54 +653,16 @@ impl Harness {
         })
     }
 
-    /// Measures every sweep point, fanning uncached points out across
-    /// [`Harness::workers`] scoped threads (same scheme as
-    /// [`Harness::measure_many`]). Points sharing a `(workload, scheme)`
-    /// deduplicate their prefix through the checkpoint cache, so a K-point
-    /// sweep simulates one prefix plus K tails instead of K full runs.
-    pub fn measure_sweep_many(&self, specs: &[SweepSpec]) -> Vec<Measurement> {
-        if specs.is_empty() {
-            return Vec::new();
-        }
-        let threads = self.workers.min(specs.len());
-        if threads <= 1 {
-            return specs
-                .iter()
-                .map(|s| self.measure_sweep(s.workload, s.scheme, &s.variant, s.delta))
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        let results: Vec<Mutex<Option<Measurement>>> =
-            specs.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(spec) = specs.get(i) else { break };
-                    let m =
-                        self.measure_sweep(spec.workload, spec.scheme, &spec.variant, spec.delta);
-                    *results[i].lock().expect("result slot poisoned") = Some(m);
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot poisoned")
-                    .expect("worker completed every claimed spec")
-            })
-            .collect()
-    }
-
+    /// Counts an executed run, prints its `[run]` line, appends it to
+    /// the on-disk cache and returns its measurement.
     fn record_run(
         &self,
-        workload: Workload,
-        scheme: SchemeKind,
-        variant: &str,
-        m: &Measurement,
+        p: &Point,
+        key: &str,
+        run: &RunResult,
         wall: std::time::Duration,
-    ) {
+    ) -> Measurement {
+        let m = Measurement::from_run(run);
         self.runs.fetch_add(1, Ordering::Relaxed);
         self.sim_cycles.fetch_add(m.exec_cycles, Ordering::Relaxed);
         self.run_wall_nanos
@@ -741,13 +670,17 @@ impl Harness {
         if !self.quiet {
             let secs = wall.as_secs_f64().max(1e-9);
             eprintln!(
-                "[run] {workload}/{scheme}{}{} wall={secs:.2}s cycles={:.1}M rate={:.1}Mcyc/s",
-                if variant.is_empty() { "" } else { "/" },
-                variant,
+                "[run] {}/{}{}{} wall={secs:.2}s cycles={:.1}M rate={:.1}Mcyc/s",
+                p.workload,
+                p.scheme,
+                if p.label.is_empty() { "" } else { "/" },
+                p.label,
                 m.exec_cycles as f64 / 1e6,
                 m.exec_cycles as f64 / 1e6 / secs,
             );
         }
+        self.append_disk_cache(key, &m);
+        m
     }
 
     /// Snapshot of the observability counters.
@@ -951,10 +884,48 @@ mod tests {
     }
 
     #[test]
+    fn env_scale_parses_and_rejects() {
+        assert_eq!(env_scale(None), Ok(1.0));
+        assert_eq!(env_scale(Some("0.25")), Ok(0.25));
+        assert_eq!(env_scale(Some(" 2 ")), Ok(2.0));
+        for bad in ["abc", "", "0", "-1", "inf", "NaN"] {
+            let err = env_scale(Some(bad)).expect_err(bad);
+            assert!(err.contains("PIPM_SCALE") && err.contains(bad), "{err}");
+        }
+    }
+
+    #[test]
+    fn env_workloads_parses_and_rejects() {
+        assert_eq!(env_workloads(None).unwrap(), Workload::ALL.to_vec());
+        assert_eq!(
+            env_workloads(Some("bfs, PR")).unwrap(),
+            vec![Workload::Bfs, Workload::Pr]
+        );
+        let err = env_workloads(Some("bfs,prr")).unwrap_err();
+        assert!(
+            err.contains("PIPM_WORKLOADS") && err.contains("'prr'"),
+            "{err}"
+        );
+        for empty in ["", " "] {
+            let err = env_workloads(Some(empty)).unwrap_err();
+            assert!(err.contains("PIPM_WORKLOADS"), "{err}");
+        }
+        assert!(env_workloads(Some("bfs,,pr")).is_err());
+    }
+
+    fn lat(ns: f64) -> CfgDelta {
+        CfgDelta {
+            link_latency_ns: Some(ns),
+            ..CfgDelta::default()
+        }
+    }
+
+    #[test]
     fn measure_caches_and_counts() {
         let h = Harness::with_settings(10_000, 7, None, 2);
-        let a = h.measure_default(Workload::Bfs, SchemeKind::Native);
-        let b = h.measure_default(Workload::Bfs, SchemeKind::Native);
+        let point = [Point::default_cfg(Workload::Bfs, SchemeKind::Native)];
+        let a = h.measure_all(&point);
+        let b = h.measure_all(&point);
         assert_eq!(a, b);
         let c = h.counters();
         assert_eq!(c.runs, 1, "second call must hit the cache");
@@ -964,21 +935,19 @@ mod tests {
 
     #[test]
     fn measure_many_matches_serial_order() {
-        let specs = vec![
-            RunSpec::default_cfg(Workload::Bfs, SchemeKind::Native),
-            RunSpec::default_cfg(Workload::Bfs, SchemeKind::LocalOnly),
-            RunSpec::new(Workload::Bfs, SchemeKind::Native, "lat=100", |cfg| {
+        let points = vec![
+            Point::default_cfg(Workload::Bfs, SchemeKind::Native),
+            Point::default_cfg(Workload::Bfs, SchemeKind::LocalOnly),
+            Point::full(Workload::Bfs, SchemeKind::Native, "lat=100", |cfg| {
                 cfg.cxl.link_latency_ns = 100.0;
             }),
         ];
         let par = Harness::with_settings(10_000, 7, None, 4);
-        let results = par.measure_many(&specs);
+        let results = par.measure_all(&points);
         let serial = Harness::with_settings(10_000, 7, None, 1);
-        for (spec, m) in specs.iter().zip(&results) {
-            let s = serial.measure(spec.workload, spec.scheme, &spec.variant, |c| {
-                (spec.cfg_mod)(c)
-            });
-            assert_eq!(&s, m, "parallel must be bit-identical to serial");
+        for (point, m) in points.iter().zip(&results) {
+            let s = &serial.measure_all(std::slice::from_ref(point))[0];
+            assert_eq!(s, m, "parallel must be bit-identical to serial");
         }
         assert_eq!(par.counters().runs, 3);
     }
@@ -986,21 +955,19 @@ mod tests {
     #[test]
     fn forked_sweep_matches_no_fork_and_counts_one_prefix() {
         let points = [
-            (
-                "lat=100ns",
-                CfgDelta {
-                    link_latency_ns: Some(100.0),
-                    ..CfgDelta::default()
-                },
-            ),
-            (
+            Point::sweep(Workload::Bfs, SchemeKind::Pipm, "lat=100ns", lat(100.0)),
+            Point::sweep(
+                Workload::Bfs,
+                SchemeKind::Pipm,
                 "bw=4",
                 CfgDelta {
                     link_gbps: Some(4.0),
                     ..CfgDelta::default()
                 },
             ),
-            (
+            Point::sweep(
+                Workload::Bfs,
+                SchemeKind::Pipm,
                 "thr=4",
                 CfgDelta {
                     migration_threshold: Some(4),
@@ -1011,10 +978,14 @@ mod tests {
         let forked = Harness::with_settings(10_000, 7, None, 2);
         let mut straight = Harness::with_settings(10_000, 7, None, 2);
         straight.set_no_fork(true);
-        for (variant, delta) in points {
-            let a = forked.measure_sweep(Workload::Bfs, SchemeKind::Pipm, variant, delta);
-            let b = straight.measure_sweep(Workload::Bfs, SchemeKind::Pipm, variant, delta);
-            assert_eq!(a, b, "{variant}: forked must be bit-identical to unforked");
+        let a = forked.measure_all(&points);
+        let b = straight.measure_all(&points);
+        for ((point, a), b) in points.iter().zip(&a).zip(&b) {
+            assert_eq!(
+                a, b,
+                "{}: forked must be bit-identical to unforked",
+                point.label
+            );
         }
         let c = forked.counters();
         assert_eq!(c.ckpt_prefixes, 1, "one shared prefix across the sweep");
@@ -1032,23 +1003,20 @@ mod tests {
     #[test]
     #[ignore = "wall-clock measurement; run with --ignored on a quiet machine"]
     fn k8_forked_sweep_at_least_halves_serial_wall_clock() {
-        let deltas: Vec<(String, CfgDelta)> = (0..8)
+        let points: Vec<Point> = (0..8)
             .map(|i| {
                 let ns = 60.0 + 20.0 * i as f64;
-                (
+                Point::sweep(
+                    Workload::Bfs,
+                    SchemeKind::Pipm,
                     format!("lat={ns}ns"),
-                    CfgDelta {
-                        link_latency_ns: Some(ns),
-                        ..CfgDelta::default()
-                    },
+                    lat(ns),
                 )
             })
             .collect();
         let time_points = |h: &Harness| {
             let started = Instant::now();
-            for (variant, delta) in &deltas {
-                h.measure_sweep(Workload::Bfs, SchemeKind::Pipm, variant, *delta);
-            }
+            h.measure_all(&points);
             started.elapsed()
         };
         let forked = Harness::with_settings(120_000, 7, None, 1);
@@ -1068,24 +1036,20 @@ mod tests {
 
     #[test]
     fn sweep_many_matches_serial_across_worker_counts() {
-        let delta = |ns: f64| CfgDelta {
-            link_latency_ns: Some(ns),
-            ..CfgDelta::default()
-        };
-        let specs: Vec<SweepSpec> = [50.0, 100.0, 200.0]
+        let points: Vec<Point> = [50.0, 100.0, 200.0]
             .into_iter()
             .flat_map(|ns| {
                 [SchemeKind::Native, SchemeKind::Pipm]
                     .into_iter()
-                    .map(move |s| SweepSpec::new(Workload::Bfs, s, format!("lat={ns}"), delta(ns)))
+                    .map(move |s| Point::sweep(Workload::Bfs, s, format!("lat={ns}"), lat(ns)))
             })
             .collect();
         let par = Harness::with_settings(10_000, 7, None, 4);
-        let results = par.measure_sweep_many(&specs);
+        let results = par.measure_all(&points);
         let serial = Harness::with_settings(10_000, 7, None, 1);
-        for (spec, m) in specs.iter().zip(&results) {
-            let s = serial.measure_sweep(spec.workload, spec.scheme, &spec.variant, spec.delta);
-            assert_eq!(&s, m, "parallel sweep must be bit-identical to serial");
+        for (point, m) in points.iter().zip(&results) {
+            let s = &serial.measure_all(std::slice::from_ref(point))[0];
+            assert_eq!(s, m, "parallel sweep must be bit-identical to serial");
         }
         // Both harnesses simulated exactly one prefix per scheme.
         assert_eq!(par.counters().ckpt_prefixes, 2);
@@ -1099,29 +1063,31 @@ mod tests {
         // the caches must keep them apart even when the final
         // configurations are identical.
         let h = Harness::with_settings(10_000, 7, None, 1);
-        let _sweep = h.measure_sweep(
-            Workload::Bfs,
-            SchemeKind::Pipm,
-            "thr=4",
-            CfgDelta {
-                migration_threshold: Some(4),
-                ..CfgDelta::default()
-            },
-        );
-        let _plain = h.measure(Workload::Bfs, SchemeKind::Pipm, "thr=4", |cfg| {
-            cfg.warmup_fraction = SWEEP_WARMUP_FRACTION;
-            cfg.pipm.migration_threshold = 4;
-        });
+        h.measure_all(&[
+            Point::sweep(
+                Workload::Bfs,
+                SchemeKind::Pipm,
+                "thr=4",
+                CfgDelta {
+                    migration_threshold: Some(4),
+                    ..CfgDelta::default()
+                },
+            ),
+            Point::full(Workload::Bfs, SchemeKind::Pipm, "thr=4", |cfg| {
+                cfg.warmup_fraction = SWEEP_WARMUP_FRACTION;
+                cfg.pipm.migration_threshold = 4;
+            }),
+        ]);
         assert_eq!(h.counters().runs, 2, "the two points must not share a run");
     }
 
     #[test]
     fn concurrent_same_point_deduplicates() {
         let h = Harness::with_settings(10_000, 3, None, 4);
-        let specs: Vec<RunSpec> = (0..8)
-            .map(|_| RunSpec::default_cfg(Workload::Cc, SchemeKind::Native))
+        let points: Vec<Point> = (0..8)
+            .map(|_| Point::default_cfg(Workload::Cc, SchemeKind::Native))
             .collect();
-        let results = h.measure_many(&specs);
+        let results = h.measure_all(&points);
         assert!(results.windows(2).all(|w| w[0] == w[1]));
         assert_eq!(
             h.counters().runs,
@@ -1129,5 +1095,32 @@ mod tests {
             "in-flight dedup must collapse to one run"
         );
         assert_eq!(h.counters().cache_hits, 7);
+    }
+
+    #[test]
+    fn parallel_disk_cache_appends_reload_whole() {
+        let path =
+            std::env::temp_dir().join(format!("pipm_parallel_appends_{}.tsv", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let points: Vec<Point> = (0..16)
+            .map(|i| {
+                let ns = 40.0 + 10.0 * i as f64;
+                Point::sweep(
+                    Workload::Bfs,
+                    SchemeKind::Native,
+                    format!("lat={ns}"),
+                    lat(ns),
+                )
+            })
+            .collect();
+        let h = Harness::with_settings(10_000, 7, Some(path.clone()), 4);
+        let measured = h.measure_all(&points);
+        let reloaded = Harness::with_settings(10_000, 7, Some(path.clone()), 1);
+        let preloads = reloaded.cache.stats().preloads;
+        let again = reloaded.measure_all(&points);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(preloads, 16, "every appended line must reload");
+        assert_eq!(again, measured);
+        assert_eq!(reloaded.counters().runs, 0);
     }
 }

@@ -264,36 +264,11 @@ impl<K: CacheKey, M> SetAssoc<K, M> {
         Some(self.remove_lane(set, i).1)
     }
 
-    /// Removes every entry matched by `pred`, returning the removed pairs.
-    /// Used for page-granularity invalidations (migration shootdowns).
-    pub fn invalidate_matching<F: FnMut(&K, &M) -> bool>(&mut self, mut pred: F) -> Vec<(K, M)> {
-        let mut out = Vec::new();
-        for set in 0..self.sets {
-            let mut i = 0;
-            while i < self.entries[set].len() {
-                let e = &self.entries[set][i];
-                if pred(&e.0, &e.1) {
-                    out.push(self.remove_lane(set, i));
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        out
-    }
-
     /// Iterates over all `(key, meta)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &M)> {
         self.entries
             .iter()
             .flat_map(|s| s.iter().map(|(k, m, _)| (k, m)))
-    }
-
-    /// Counts entries satisfying `pred` without touching LRU order or
-    /// statistics. The invariant harness uses this to observe cache state
-    /// (e.g. exclusive-holder counts) without perturbing replacement.
-    pub fn count_matching<F: FnMut(&K, &M) -> bool>(&self, mut pred: F) -> usize {
-        self.iter().filter(|(k, m)| pred(k, m)).count()
     }
 
     /// Accumulated statistics.
@@ -313,23 +288,6 @@ impl<K: CacheKey, M> SetAssoc<K, M> {
     }
 }
 
-/// Invalidates all 64 lines of `page` from a line-keyed structure,
-/// returning the removed pairs. Cheaper than a full scan: probes only the
-/// sets the page's lines map to.
-pub fn invalidate_page_lines<M>(
-    cache: &mut SetAssoc<LineAddr, M>,
-    page: PageNum,
-) -> Vec<(LineAddr, M)> {
-    let mut out = Vec::new();
-    for i in 0..pipm_types::LINES_PER_PAGE as usize {
-        let line = page.line(i);
-        if let Some(m) = cache.invalidate(line) {
-            out.push((line, m));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,22 +302,6 @@ mod tests {
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn count_matching_is_non_perturbing() {
-        let mut c: SetAssoc<u64, u32> = SetAssoc::new(1, 3);
-        c.insert(1, 10);
-        c.insert(2, 20);
-        c.insert(3, 30);
-        let stats_before = c.stats();
-        assert_eq!(c.count_matching(|_, m| *m >= 20), 2);
-        assert_eq!(c.count_matching(|k, _| *k == 1), 1);
-        // No stats movement, and LRU order untouched: inserting a fourth
-        // entry still evicts the oldest (key 1), not a recently-counted one.
-        assert_eq!(c.stats(), stats_before);
-        let evicted = c.insert(4, 40).unwrap();
-        assert_eq!(evicted.0, 1);
     }
 
     #[test]
@@ -402,31 +344,6 @@ mod tests {
         assert!(c.peek(0).is_none());
         c.insert(0, 9);
         assert_eq!(*c.peek(0).unwrap(), 9);
-    }
-
-    #[test]
-    fn page_invalidation() {
-        use pipm_types::{LineAddr, PageNum, LINES_PER_PAGE};
-        let mut c: SetAssoc<LineAddr, ()> = SetAssoc::new(16, 8);
-        let page = PageNum::new(3);
-        for i in 0..8 {
-            c.insert(page.line(i * 7 % LINES_PER_PAGE as usize), ());
-        }
-        c.insert(PageNum::new(4).line(0), ());
-        let removed = invalidate_page_lines(&mut c, page);
-        assert_eq!(removed.len(), 8);
-        assert_eq!(c.len(), 1); // the other page's line survives
-    }
-
-    #[test]
-    fn invalidate_matching_predicate() {
-        let mut c: SetAssoc<u64, u32> = SetAssoc::new(4, 4);
-        for k in 0..12 {
-            c.insert(k, k as u32);
-        }
-        let removed = c.invalidate_matching(|_, m| *m % 2 == 0);
-        assert_eq!(removed.len(), 6);
-        assert!(c.iter().all(|(_, m)| m % 2 == 1));
     }
 
     #[test]

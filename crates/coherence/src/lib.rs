@@ -154,12 +154,6 @@ impl DeviceDirectory {
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, DevState)> + '_ {
         self.entries.iter().map(|(l, s)| (*l, *s))
     }
-
-    /// Snapshot of all `(line, state)` entries, for invariant checking.
-    /// Prefer [`Self::iter`]/[`Self::peek`], which do not allocate.
-    pub fn entries_snapshot(&self) -> Vec<(LineAddr, DevState)> {
-        self.iter().collect()
-    }
 }
 
 #[cfg(test)]

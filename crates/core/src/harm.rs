@@ -111,12 +111,6 @@ impl HarmTracker {
         self.harmful
     }
 
-    /// Per-access latency penalty estimate used elsewhere for reporting:
-    /// `(local, cxl, inter-host)` in cycles.
-    pub fn latency_estimates(&self) -> (f64, f64, f64) {
-        (self.lat_local, self.lat_cxl, self.lat_inter)
-    }
-
     /// Cycle cost assumed per migrated page.
     pub fn migration_cost(&self) -> Cycle {
         self.mig_cost as Cycle
@@ -142,7 +136,7 @@ mod tests {
     #[test]
     fn latency_ordering_sane() {
         let t = tracker();
-        let (l, c, i) = t.latency_estimates();
+        let (l, c, i) = (t.lat_local, t.lat_cxl, t.lat_inter);
         assert!(l < c && c < i, "local < cxl < inter-host must hold");
         // CXL should be roughly 2-3× local (paper §1).
         assert!(c / l > 1.8 && c / l < 5.0, "cxl/local = {}", c / l);

@@ -54,8 +54,8 @@ pub use hints::MigrationHints;
 pub use oracle::OracleViolation;
 pub use remap::{GlobalEntry, GlobalRemap, LocalEntry, LocalRemap, LookupResult};
 pub use runner::{
-    effective_workers, resume_one, run_many, run_one, run_one_with_delta, run_prefix_one,
-    run_schemes, run_spec_many, run_spec_one, RunJob, RunResult, SpecJob, SpecRunResult,
+    effective_workers, par_map, resume_one, run_one, run_one_with_delta, run_prefix_one,
+    run_schemes, run_spec_one, RunResult, SpecRunResult,
 };
 pub use system::{CfgDelta, Checkpoint, HarnessReport, System, SWEEP_WARMUP_FRACTION};
 

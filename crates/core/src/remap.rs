@@ -172,12 +172,6 @@ impl GlobalRemap {
         self.cache.set_stats(stats);
         self.hit_latency = cfg.global_remap_cache_latency;
     }
-
-    /// Bytes of CXL DRAM consumed by the in-memory table (2 B/entry over
-    /// the touched pages; the paper provisions 0.05% of CXL-DSM size).
-    pub fn table_bytes(&self) -> u64 {
-        self.table.len() as u64 * 2
-    }
 }
 
 /// One local remapping table entry (4 bytes in hardware, plus the per-line

@@ -140,9 +140,6 @@ pub fn run_one_with_delta(
     }
 }
 
-/// One job for [`run_many`]: the full argument set of a [`run_one`] call.
-pub type RunJob = (Workload, SchemeKind, SystemConfig, WorkloadParams);
-
 /// Clamps a requested worker count to the machine's available cores.
 ///
 /// Each worker drives a full simulation pipeline, so requesting more
@@ -167,9 +164,9 @@ fn clamp_worker_budget(requested: usize, available: usize) -> (usize, Option<Str
 
 /// Applies `clamp_worker_budget` against `available_parallelism`,
 /// printing the warning at most once per process (the same warn-once
-/// convention as the env-parsing helpers). Public so every thread pool
-/// driven by `PIPM_WORKERS` — [`run_many`], [`run_spec_many`], and the
-/// bench harness's own fan-out — shares one clamp policy.
+/// convention as the env-parsing helpers). [`par_map`] applies it to
+/// every fan-out; it is public so the bench harness reports the same
+/// clamped count it will run with.
 pub fn effective_workers(requested: usize) -> usize {
     let available = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -182,41 +179,43 @@ pub fn effective_workers(requested: usize) -> usize {
     clamped
 }
 
-/// Runs every job across `workers` scoped threads, returning results in
-/// job order. Each job builds its own self-contained [`System`], so the
-/// results are bit-identical to serial [`run_one`] calls regardless of
+/// Maps `f` over `items` on up to `workers` scoped threads (clamped by
+/// [`effective_workers`]), returning the results in item order. Each
+/// worker claims the next unclaimed item from a shared counter, so one
+/// slow item never holds back a static share of the others. A simulation
+/// job builds its own self-contained [`System`], so mapping [`run_one`]
+/// or [`run_spec_one`] is bit-identical to a serial map regardless of
 /// scheduling (asserted by `tests/determinism.rs`).
-pub fn run_many(jobs: &[RunJob], workers: usize) -> Vec<RunResult> {
-    let threads = effective_workers(workers).max(1).min(jobs.len());
+pub fn par_map<T: Sync, R: Send>(
+    items: &[T],
+    workers: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let threads = effective_workers(workers).max(1).min(items.len());
     if threads <= 1 {
-        return jobs
-            .iter()
-            .map(|(w, s, cfg, p)| run_one(*w, *s, cfg.clone(), p))
-            .collect();
+        return items.iter().map(f).collect();
     }
     let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<RunResult>>> =
-        jobs.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some((w, s, cfg, p)) = jobs.get(i) else {
-                    break;
-                };
-                let r = run_one(*w, *s, cfg.clone(), p);
-                *slots[i].lock().expect("run_many slot poisoned") = Some(r);
-            });
-        }
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break mine };
+                        mine.push((i, f(item)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("par_map worker panicked"))
+            .collect()
     });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("run_many slot poisoned")
-                .expect("worker completed every claimed job")
-        })
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// The outcome of one fuzzed harness run: the usual statistics plus the
@@ -252,47 +251,6 @@ pub fn run_spec_one(spec: &FuzzSpec, scheme: SchemeKind, mut cfg: SystemConfig) 
         cfg,
         report: sys.harness_report(),
     }
-}
-
-/// One job for [`run_spec_many`]: the argument set of a [`run_spec_one`]
-/// call.
-pub type SpecJob = (FuzzSpec, SchemeKind, SystemConfig);
-
-/// Runs every fuzz job across `workers` scoped threads, returning
-/// results in job order (same work-stealing scheme as [`run_many`]; each
-/// job is self-contained, so results are bit-identical to serial
-/// [`run_spec_one`] calls).
-pub fn run_spec_many(jobs: &[SpecJob], workers: usize) -> Vec<SpecRunResult> {
-    let threads = effective_workers(workers).max(1).min(jobs.len());
-    if threads <= 1 {
-        return jobs
-            .iter()
-            .map(|(spec, s, cfg)| run_spec_one(spec, *s, cfg.clone()))
-            .collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let slots: Vec<std::sync::Mutex<Option<SpecRunResult>>> =
-        jobs.iter().map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some((spec, s, cfg)) = jobs.get(i) else {
-                    break;
-                };
-                let r = run_spec_one(spec, *s, cfg.clone());
-                *slots[i].lock().expect("run_spec_many slot poisoned") = Some(r);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("run_spec_many slot poisoned")
-                .expect("worker completed every claimed job")
-        })
-        .collect()
 }
 
 /// Runs `workload` under every scheme in `schemes`, returning results in
@@ -336,7 +294,7 @@ mod tests {
         assert!(warn.contains("64") && warn.contains('8'), "{warn}");
         // Unknown parallelism (0): trust the caller, never clamp to zero.
         assert_eq!(clamp_worker_budget(16, 0), (16, None));
-        // Degenerate requests pass through; run_many applies its own
+        // Degenerate requests pass through; par_map applies its own
         // `.max(1)` floor after clamping.
         assert_eq!(clamp_worker_budget(0, 8), (0, None));
     }
@@ -356,5 +314,19 @@ mod tests {
         // The ordinary case is untouched.
         assert_eq!(fifty.speedup_over(&hundred), 2.0);
         assert_eq!(hundred.speedup_over(&fifty), 0.5);
+    }
+
+    #[test]
+    fn par_map_keeps_item_order() {
+        let items: Vec<u64> = (0..37).collect();
+        let want: Vec<u64> = items.iter().map(|x| x * x).collect();
+        for workers in 1..=4 {
+            assert_eq!(
+                par_map(&items, workers, |x| x * x),
+                want,
+                "workers={workers}"
+            );
+            assert!(par_map(&[] as &[u64], workers, |x| x * x).is_empty());
+        }
     }
 }

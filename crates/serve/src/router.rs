@@ -88,11 +88,6 @@ impl HashRing {
         let (_, node) = self.points[if at == self.points.len() { 0 } else { at }];
         node
     }
-
-    /// Address of the node owning `key`.
-    pub fn owner_addr(&self, key: &str) -> &str {
-        &self.nodes[self.owner(key)]
-    }
 }
 
 /// Forwarding/health knobs for a router.
@@ -362,7 +357,6 @@ mod tests {
             let owner = a.owner(&key);
             assert_eq!(owner, b.owner(&key), "ring must be deterministic");
             assert!(owner < 3);
-            assert_eq!(a.owner_addr(&key), &a.nodes()[owner]);
         }
     }
 

@@ -132,15 +132,6 @@ impl HostSet {
     pub fn without(self, h: HostId) -> Self {
         HostSet(self.0 & !(1 << h.index()))
     }
-
-    /// Returns the sole member if the set is a singleton.
-    pub fn sole_member(self) -> Option<HostId> {
-        if self.len() == 1 {
-            Some(HostId::new(self.0.trailing_zeros() as usize))
-        } else {
-            None
-        }
-    }
 }
 
 impl fmt::Display for HostSet {
@@ -193,7 +184,6 @@ mod tests {
         assert!(s.contains(HostId::new(3)));
         assert!(!s.contains(HostId::new(4)));
         s.remove(HostId::new(3));
-        assert_eq!(s.sole_member(), Some(HostId::new(7)));
         let v: Vec<_> = s.iter().collect();
         assert_eq!(v, vec![HostId::new(7)]);
     }

@@ -64,12 +64,6 @@ impl SchemeKind {
             SchemeKind::Nomad | SchemeKind::Memtis | SchemeKind::Hemem | SchemeKind::OsSkew
         )
     }
-
-    /// Whether this scheme uses the PIPM coherence mechanism (incremental
-    /// line-granularity migration).
-    pub fn uses_pipm_mechanism(self) -> bool {
-        matches!(self, SchemeKind::Pipm | SchemeKind::HwStatic)
-    }
 }
 
 impl fmt::Display for SchemeKind {
@@ -135,8 +129,5 @@ mod tests {
         assert!(SchemeKind::Nomad.uses_kernel_migration());
         assert!(SchemeKind::OsSkew.uses_kernel_migration());
         assert!(!SchemeKind::Pipm.uses_kernel_migration());
-        assert!(SchemeKind::Pipm.uses_pipm_mechanism());
-        assert!(SchemeKind::HwStatic.uses_pipm_mechanism());
-        assert!(!SchemeKind::Native.uses_pipm_mechanism());
     }
 }

@@ -69,14 +69,6 @@ impl AccessClass {
             AccessClass::InterHost => "inter_host",
         }
     }
-
-    /// Whether this class leaves the host (crosses the CXL link).
-    pub fn is_remote(self) -> bool {
-        matches!(
-            self,
-            AccessClass::CxlDram | AccessClass::CxlForward | AccessClass::InterHost
-        )
-    }
 }
 
 impl fmt::Display for AccessClass {
@@ -333,45 +325,6 @@ impl SystemStats {
     }
 }
 
-/// Simple percentile summary of a latency sample, used by micro-benchmarks
-/// and diagnostics.
-#[derive(Clone, PartialEq, Debug, Default)]
-pub struct Percentiles {
-    /// Median (p50).
-    pub p50: f64,
-    /// Ninetieth percentile.
-    pub p90: f64,
-    /// Ninety-ninth percentile.
-    pub p99: f64,
-    /// Maximum observed value.
-    pub max: f64,
-}
-
-impl Percentiles {
-    /// Computes percentiles from an unsorted sample using the
-    /// nearest-rank definition (`ceil(q * len) - 1` into the sorted
-    /// sample), so p99 of 100 samples is the 99th order statistic rather
-    /// than the floor-biased 98th. Returns the default (all zeros) for an
-    /// empty sample.
-    pub fn from_samples(samples: &[u64]) -> Self {
-        if samples.is_empty() {
-            return Percentiles::default();
-        }
-        let mut v: Vec<u64> = samples.to_vec();
-        v.sort_unstable();
-        let pick = |q: f64| -> f64 {
-            let rank = (q * v.len() as f64).ceil() as usize;
-            v[rank.clamp(1, v.len()) - 1] as f64
-        };
-        Percentiles {
-            p50: pick(0.50),
-            p90: pick(0.90),
-            p99: pick(0.99),
-            max: *v.last().unwrap() as f64,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,35 +384,5 @@ mod tests {
         sys.migration.peak_resident_lines = vec![640, 320];
         assert!((sys.footprint_page_fraction(1000) - 0.075).abs() < 1e-9);
         assert!((sys.footprint_line_fraction(1000) - 480.0 / 64000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn percentiles() {
-        let data: Vec<u64> = (1..=100).collect();
-        let p = Percentiles::from_samples(&data);
-        assert_eq!(p.p50, 50.0);
-        assert_eq!(p.max, 100.0);
-        assert_eq!(Percentiles::from_samples(&[]), Percentiles::default());
-    }
-
-    #[test]
-    fn percentiles_nearest_rank() {
-        // Nearest-rank over 100 sorted samples: pN is exactly the Nth
-        // order statistic — p99 must be 99, not the floor-biased 98.
-        let data: Vec<u64> = (1..=100).collect();
-        let p = Percentiles::from_samples(&data);
-        assert_eq!(p.p50, 50.0);
-        assert_eq!(p.p90, 90.0);
-        assert_eq!(p.p99, 99.0);
-
-        // Small samples round up to the next order statistic.
-        let p = Percentiles::from_samples(&[30, 10, 20]);
-        assert_eq!(p.p50, 20.0);
-        assert_eq!(p.p90, 30.0);
-        assert_eq!(p.p99, 30.0);
-
-        // A single sample is every percentile.
-        let p = Percentiles::from_samples(&[7]);
-        assert_eq!((p.p50, p.p90, p.p99, p.max), (7.0, 7.0, 7.0, 7.0));
     }
 }

@@ -141,11 +141,6 @@ impl TopologySpec {
         self.devices
     }
 
-    /// Whether this is the legacy shape (one device, all hosts direct).
-    pub fn is_single_device(&self) -> bool {
-        self.devices == 1 && self.host_attach.iter().all(|a| matches!(a, Attach::Direct))
-    }
-
     /// Attachment of host `h` (after broadcast/default expansion).
     pub fn attach_of(&self, h: usize) -> Attach {
         match self.host_attach.len() {
@@ -223,7 +218,6 @@ mod tests {
     #[test]
     fn default_is_legacy_single_device() {
         let t = TopologySpec::default();
-        assert!(t.is_single_device());
         assert_eq!(t.resolved_hosts(4), 4);
         assert_eq!(t.device_count(), 1);
         assert!(matches!(t.attach_of(3), Attach::Direct));
@@ -253,7 +247,6 @@ mod tests {
     #[test]
     fn switched_broadcast_attachment() {
         let t = TopologySpec::switched(4, 2, 30.0);
-        assert!(!t.is_single_device());
         for h in 0..4 {
             assert!(matches!(t.attach_of(h), Attach::Switch(0)));
         }

@@ -40,7 +40,6 @@ pub mod phases;
 mod spec;
 mod stream;
 pub mod tenants;
-pub mod trace;
 mod zipf;
 
 pub use fuzz::{FuzzPattern, FuzzSpec};

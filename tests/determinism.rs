@@ -2,8 +2,8 @@
 //! bit-identical statistics; different seeds give different traces but the
 //! same qualitative behaviour.
 
-use pipm_bench::{Harness, RunSpec};
-use pipm_core::{run_many, run_one, run_spec_many, run_spec_one, RunJob, SpecJob, System};
+use pipm_bench::{Harness, Point};
+use pipm_core::{par_map, run_one, run_spec_one, System};
 use pipm_types::{SchemeKind, SystemConfig};
 use pipm_workloads::{FuzzPattern, FuzzSpec, Workload, WorkloadParams};
 
@@ -38,7 +38,7 @@ fn run_many_matches_serial_bit_for_bit() {
         refs_per_core: 10_000,
         seed: 13,
     };
-    let jobs: Vec<RunJob> = [
+    let jobs: Vec<(Workload, SchemeKind, SystemConfig, WorkloadParams)> = [
         (Workload::Bfs, SchemeKind::Native),
         (Workload::Bfs, SchemeKind::Pipm),
         (Workload::Cc, SchemeKind::Memtis),
@@ -48,7 +48,7 @@ fn run_many_matches_serial_bit_for_bit() {
     .into_iter()
     .map(|(w, s)| (w, s, SystemConfig::experiment_scale(), params))
     .collect();
-    let parallel = run_many(&jobs, 4);
+    let parallel = par_map(&jobs, 4, |(w, s, cfg, p)| run_one(*w, *s, cfg.clone(), p));
     for ((w, s, cfg, p), r) in jobs.iter().zip(&parallel) {
         let serial = run_one(*w, *s, cfg.clone(), p);
         assert_eq!(serial.stats, r.stats, "{w} {s}: parallel != serial");
@@ -62,19 +62,19 @@ fn parallel_harness_matches_serial_bit_for_bit() {
     // depend on the worker count. Duplicated specs exercise the dedup.
     let mk_specs = || {
         vec![
-            RunSpec::default_cfg(Workload::Bfs, SchemeKind::Native),
-            RunSpec::default_cfg(Workload::Bfs, SchemeKind::Pipm),
-            RunSpec::new(Workload::Bfs, SchemeKind::Pipm, "thr=4", |cfg| {
+            Point::default_cfg(Workload::Bfs, SchemeKind::Native),
+            Point::default_cfg(Workload::Bfs, SchemeKind::Pipm),
+            Point::full(Workload::Bfs, SchemeKind::Pipm, "thr=4", |cfg| {
                 cfg.pipm.migration_threshold = 4;
             }),
-            RunSpec::default_cfg(Workload::Bfs, SchemeKind::Native),
-            RunSpec::default_cfg(Workload::Cc, SchemeKind::Memtis),
+            Point::default_cfg(Workload::Bfs, SchemeKind::Native),
+            Point::default_cfg(Workload::Cc, SchemeKind::Memtis),
         ]
     };
     let par = Harness::with_settings(8_000, 11, None, 4);
     let ser = Harness::with_settings(8_000, 11, None, 1);
-    let pm = par.measure_many(&mk_specs());
-    let sm = ser.measure_many(&mk_specs());
+    let pm = par.measure_all(&mk_specs());
+    let sm = ser.measure_all(&mk_specs());
     assert_eq!(pm, sm, "harness results must not depend on worker count");
     assert_eq!(
         par.counters().runs,
@@ -93,7 +93,7 @@ fn fuzz_specs_are_bit_identical_across_workers_and_repeats() {
     // oracle's "pure bookkeeping" property — harness mode is on in every
     // run, so any timing influence would break the cross-run equality of
     // run_one-based figures elsewhere.
-    let jobs: Vec<SpecJob> = (0..3u64)
+    let jobs: Vec<(FuzzSpec, SchemeKind)> = (0..3u64)
         .flat_map(|pat| {
             [0x0du64, 0x5eedu64].into_iter().map(move |seed| {
                 (
@@ -103,15 +103,17 @@ fn fuzz_specs_are_bit_identical_across_workers_and_repeats() {
                     } else {
                         SchemeKind::Hemem
                     },
-                    FuzzSpec::base_config(),
                 )
             })
         })
         .collect();
     let max = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let serial = run_spec_many(&jobs, 1);
+    let run = |(spec, scheme): &(FuzzSpec, SchemeKind)| {
+        run_spec_one(spec, *scheme, FuzzSpec::base_config())
+    };
+    let serial = par_map(&jobs, 1, run);
     for workers in [4, max] {
-        let par = run_spec_many(&jobs, workers);
+        let par = par_map(&jobs, workers, run);
         assert_eq!(serial.len(), par.len());
         for (a, b) in serial.iter().zip(&par) {
             assert_eq!(
@@ -128,7 +130,7 @@ fn fuzz_specs_are_bit_identical_across_workers_and_repeats() {
             );
         }
     }
-    let again = run_spec_many(&jobs, max);
+    let again = par_map(&jobs, max, run);
     for (a, b) in serial.iter().zip(&again) {
         assert_eq!(
             a.stats, b.stats,

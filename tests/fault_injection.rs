@@ -10,7 +10,7 @@
 
 #![cfg(feature = "fault-inject")]
 
-use pipm_core::{run_spec_many, SpecJob};
+use pipm_core::{par_map, run_spec_one};
 use pipm_types::SchemeKind;
 use pipm_workloads::FuzzSpec;
 
@@ -18,16 +18,18 @@ use pipm_workloads::FuzzSpec;
 fn injected_lost_invalidation_is_caught() {
     // Sharing-heavy traces keep lines in multi-sharer S states and write
     // them from every host — exactly the path the mutation corrupts.
-    let jobs: Vec<SpecJob> = (0..8u64)
+    let jobs: Vec<(FuzzSpec, SchemeKind)> = (0..8u64)
         .flat_map(|seed| {
             let spec = FuzzSpec::from_draw(0, 4, 40, 50, 0xbad_0000 + seed, 4_000);
             [SchemeKind::Native, SchemeKind::Pipm]
                 .into_iter()
-                .map(move |s| (spec, s, FuzzSpec::base_config()))
+                .map(move |s| (spec, s))
         })
         .collect();
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let results = run_spec_many(&jobs, workers);
+    let results = par_map(&jobs, workers, |(spec, s)| {
+        run_spec_one(spec, *s, FuzzSpec::base_config())
+    });
     let dirty: Vec<String> = results
         .iter()
         .filter(|r| !r.report.is_clean())

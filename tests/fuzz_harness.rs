@@ -7,7 +7,7 @@
 //! under `proptest-regressions/`) reproduces with:
 //! `run_spec_one(&FuzzSpec::from_draw(..), scheme, FuzzSpec::base_config())`.
 
-use pipm_core::{run_spec_many, run_spec_one, SpecJob, System};
+use pipm_core::{par_map, run_spec_one, System};
 use pipm_mcheck::ReachableSet;
 use pipm_types::{AccessClass, SchemeKind};
 use pipm_workloads::{FuzzPattern, FuzzSpec};
@@ -38,15 +38,13 @@ fn seeded_traces_are_clean_across_all_schemes() {
         }
     }
     assert!(specs.len() >= 51);
-    let jobs: Vec<SpecJob> = specs
+    let jobs: Vec<(FuzzSpec, SchemeKind)> = specs
         .iter()
-        .flat_map(|spec| {
-            SchemeKind::ALL
-                .iter()
-                .map(move |&s| (*spec, s, FuzzSpec::base_config()))
-        })
+        .flat_map(|spec| SchemeKind::ALL.iter().map(move |&s| (*spec, s)))
         .collect();
-    let results = run_spec_many(&jobs, workers());
+    let results = par_map(&jobs, workers(), |(spec, s)| {
+        run_spec_one(spec, *s, FuzzSpec::base_config())
+    });
     assert_eq!(results.len(), jobs.len());
     for r in &results {
         assert!(

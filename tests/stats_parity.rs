@@ -7,9 +7,9 @@
 //! full [`SystemStats`] for a small Fig. 10-style job under all eight
 //! schemes (captured from the pre-swap simulator) and assert the current
 //! code still produces exactly those statistics — serially and across
-//! `run_many` worker counts (the `PIPM_WORKERS` fan-out path).
+//! `par_map` worker counts (the `PIPM_WORKERS` fan-out path).
 
-use pipm_core::{run_many, run_one, RunJob, RunResult};
+use pipm_core::{par_map, run_one, RunResult};
 use pipm_types::{SchemeKind, SystemConfig, SystemStats};
 use pipm_workloads::{Workload, WorkloadParams};
 
@@ -96,7 +96,7 @@ const GOLDEN: [(Workload, SchemeKind, u64); 16] = [
     (Workload::Ycsb, SchemeKind::LocalOnly, 0xa327122b07484555),
 ];
 
-fn jobs() -> Vec<RunJob> {
+fn jobs() -> Vec<(Workload, SchemeKind, SystemConfig, WorkloadParams)> {
     let params = WorkloadParams {
         refs_per_core: REFS_PER_CORE,
         seed: SEED,
@@ -130,7 +130,7 @@ fn golden_fingerprints_all_schemes() {
 
 #[test]
 fn parity_across_worker_counts() {
-    // The same matrix through run_many at every PIPM_WORKERS setting the
+    // The same matrix through par_map at every PIPM_WORKERS setting the
     // harness uses: 1 (serial path), 2, and 8 (more threads than jobs per
     // scheme). All must be bit-identical to serial run_one.
     let jobs = jobs();
@@ -139,7 +139,9 @@ fn parity_across_worker_counts() {
         .map(|(w, s, cfg, p)| run_one(*w, *s, cfg.clone(), p))
         .collect();
     for workers in [1usize, 2, 8] {
-        let par = run_many(&jobs, workers);
+        let par = par_map(&jobs, workers, |(w, s, cfg, p)| {
+            run_one(*w, *s, cfg.clone(), p)
+        });
         for (a, b) in serial.iter().zip(&par) {
             assert_eq!(
                 a.stats, b.stats,
