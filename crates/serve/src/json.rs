@@ -102,8 +102,9 @@ impl Json {
 
     /// Serializes to a compact single-line string. Field order follows
     /// construction order, so building an object field-by-field yields a
-    /// canonical, byte-stable encoding. Non-finite numbers serialize as
-    /// `null` (JSON has no NaN/inf).
+    /// canonical, byte-stable encoding. A [`Json::Num`] always carries a
+    /// decimal point, so it parses back as a `Num` (`2.0`, not `2`).
+    /// Non-finite numbers serialize as `null` (JSON has no NaN/inf).
     pub fn encode(&self) -> String {
         let mut out = String::new();
         self.write(&mut out);
@@ -122,7 +123,13 @@ impl Json {
             }
             Json::Num(f) => {
                 if f.is_finite() {
+                    // `Display` never uses an exponent, so a missing
+                    // point means an integral value.
+                    let start = out.len();
                     let _ = write!(out, "{f}");
+                    if !out[start..].contains('.') {
+                        out.push_str(".0");
+                    }
                 } else {
                     out.push_str("null");
                 }
@@ -390,19 +397,23 @@ impl Parser<'_> {
             if let Ok(n) = text.parse::<u64>() {
                 return Ok(Json::UInt(n));
             }
-            if let Ok(n) = text.parse::<i64>() {
+            // `-0` parses but is not negative: it stays a `Num`.
+            if let Ok(n @ i64::MIN..=-1) = text.parse::<i64>() {
                 return Ok(Json::Int(n));
             }
         }
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number `{text}`"))
+        match text.parse::<f64>() {
+            Ok(f) if f.is_finite() => Ok(Json::Num(f)),
+            Ok(_) => Err(format!("number `{text}` out of range")),
+            Err(_) => Err(format!("bad number `{text}`")),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn round_trips_exact_integers() {
@@ -473,5 +484,86 @@ mod tests {
         assert_eq!(Json::Num(f64::NAN).encode(), "null");
         assert_eq!(Json::Num(f64::INFINITY).encode(), "null");
         assert_eq!(Json::Num(0.25).encode(), "0.25");
+    }
+
+    #[test]
+    fn numbers_keep_their_variant_through_a_round_trip() {
+        assert_eq!(Json::Num(2.0).encode(), "2.0");
+        assert_eq!(parse("1e3").unwrap().encode(), "1000.0");
+        assert_eq!(parse("-0").unwrap(), Json::Num(-0.0));
+        assert!(parse("1e400").is_err(), "JSON has no infinity");
+        assert_eq!(parse("1e-400").unwrap(), Json::Num(0.0));
+    }
+
+    /// JSON fragments: random sequences of them nest, escape, and put
+    /// numbers at the edges of every variant.
+    const FRAGMENTS: &[&str] = &[
+        "{",
+        "}",
+        "[",
+        "]",
+        ",",
+        ":",
+        " ",
+        "\n",
+        "\"",
+        r#""k""#,
+        r#""\"""#,
+        r#""\u00e9""#,
+        r#""\ud83e\udd80""#,
+        r#""\ud800""#,
+        "\\",
+        "\\u",
+        "0",
+        "-0",
+        "7",
+        "-7",
+        "00",
+        "1.0",
+        "-0.0",
+        "2.5e-3",
+        "1e3",
+        "1E400",
+        "1e-400",
+        "18446744073709551615",
+        "18446744073709551616",
+        "-9223372036854775808",
+        "-9223372036854775809",
+        "true",
+        "false",
+        "null",
+        "tru",
+        "é",
+        "🦀",
+        "\u{1}",
+        "\t",
+        ".",
+        "e",
+        "+",
+        "-",
+    ];
+
+    /// Parsing never panics, and whatever parses encodes back to an
+    /// equal value.
+    fn parses_and_round_trips(text: &str) -> Result<(), TestCaseError> {
+        if let Ok(value) = parse(text) {
+            prop_assert_eq!(parse(&value.encode()), Ok(value));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        #[test]
+        fn arbitrary_bytes(bytes in proptest::collection::vec(0u8..=255, 0..512)) {
+            parses_and_round_trips(&String::from_utf8_lossy(&bytes))?;
+        }
+
+        #[test]
+        fn fragment_soups(tokens in proptest::collection::vec(0..FRAGMENTS.len(), 0..48)) {
+            let text: String = tokens.iter().map(|&i| FRAGMENTS[i]).collect();
+            parses_and_round_trips(&text)?;
+        }
     }
 }

@@ -7,9 +7,10 @@
 //!
 //! - **Daemon** ([`server::Server`]): accepts `submit` batches, `status`,
 //!   `metrics`, and `shutdown` requests over TCP. The front end
-//!   is a std-only non-blocking readiness loop ([`reactor`]) — one
-//!   thread multiplexes every connection, with per-connection deadlines,
-//!   a bounded connection count, and structured `overloaded` shedding.
+//!   is a non-blocking readiness loop ([`reactor`]) that blocks in
+//!   `poll(2)` — one thread multiplexes every connection, with
+//!   per-connection deadlines and output back-pressure, a bounded
+//!   connection count, and structured `overloaded` shedding.
 //!   Batches that are all run-cache hits are answered on the reactor
 //!   thread; the rest flow through a *bounded admission queue* into a
 //!   worker pool, where concurrent identical jobs are deduplicated by
@@ -30,11 +31,17 @@
 //!   responses ([`proto::kind`]) and never terminate the daemon; a
 //!   `shutdown` request drains in-flight jobs and exits cleanly.
 //!
-//! The crate is std-only (hand-rolled JSON in [`json`], `std::net`
-//! sockets) so it adds no dependencies to the workspace.
+//! The crate is std plus one `poll(2)` declaration, unix-only
+//! (hand-rolled JSON in [`json`], `std::net` sockets), so it adds no
+//! dependencies to the workspace. That declaration, in the private
+//! `sys` module, is the crate's only `unsafe` code.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
+
+#[cfg(not(unix))]
+compile_error!("pipm-serve is unix-only: its reactor blocks in poll(2)");
 
 pub mod bench;
 pub mod client;
@@ -43,3 +50,5 @@ pub mod proto;
 pub mod reactor;
 pub mod router;
 pub mod server;
+#[allow(unsafe_code)]
+mod sys;

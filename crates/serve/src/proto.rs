@@ -658,6 +658,8 @@ pub fn encode_batch_raw(results: &[String]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn limits() -> RequestLimits {
         RequestLimits::default()
@@ -879,5 +881,132 @@ mod tests {
             parsed.get("fingerprint").unwrap().as_str().unwrap().len(),
             16
         );
+    }
+    /// Parsing never panics, and every rejection encodes to one line
+    /// that reads back as `{"ok":false,"error":{"kind":...}}`.
+    fn rejects_structurally(line: &str) -> Result<(), TestCaseError> {
+        if let Err(e) = parse_request(line, &limits()) {
+            let encoded = e.encode();
+            prop_assert!(!encoded.contains('\n'), "multi-line error {encoded:?}");
+            let value = crate::json::parse(&encoded).map_err(TestCaseError::fail)?;
+            prop_assert_eq!(value.get("ok"), Some(&Json::Bool(false)));
+            let error_kind = value.get("error").and_then(|e| e.get("kind"));
+            prop_assert_eq!(error_kind.and_then(Json::as_str), Some(e.kind));
+        }
+        Ok(())
+    }
+
+    /// Values at the edges of every validation rule.
+    const VALUES: &[&str] = &[
+        "0",
+        "1",
+        "2",
+        "3",
+        "8",
+        "64",
+        "1024",
+        "4096",
+        "65536",
+        "1000000",
+        "18446744073709551615",
+        "-1",
+        "-0",
+        "0.5",
+        "1.0",
+        "100.5",
+        "1e300",
+        r#""x""#,
+        "null",
+        "true",
+        "{}",
+        "[]",
+    ];
+
+    /// Protocol fragments: request prefixes, field names, known and
+    /// unknown names, values, and closers.
+    fn fragments() -> Vec<String> {
+        let mut out: Vec<String> = [
+            r#"{"cmd":"submit","jobs":["#,
+            r#"{"cmd":"whatif","jobs":["#,
+            r#"{"cmd":"status"}"#,
+            r#"{"cmd":"nope"}"#,
+            r#"{"workload":"bfs","scheme":"pipm""#,
+            r#"{"workload":"canneal","scheme":"native""#,
+            r#""workload":"#,
+            r#""scheme":"#,
+            r#""nope""#,
+            r#","refs_per_core":"#,
+            r#","seed":"#,
+            r#","cfg":{"#,
+            r#","delta":{"#,
+            "{",
+            "}",
+            "[",
+            "]",
+            "}]}",
+            ",",
+            ":",
+            " ",
+        ]
+        .iter()
+        .map(|f| f.to_string())
+        .collect();
+        out.extend(CFG_KEYS.iter().map(|k| format!(r#""{k}":"#)));
+        out.extend(VALUES.iter().map(|v| v.to_string()));
+        out
+    }
+
+    /// One well-formed request shape with every slot drawn from a
+    /// table, so the fuzz reaches the validators behind the parser.
+    fn templated(
+        (cmd, workload, scheme): (usize, usize, usize),
+        job: &[(usize, usize)],
+        cfg: &[(usize, usize)],
+        delta: &[(usize, usize)],
+    ) -> String {
+        let fields = |pairs: &[(usize, usize)], keys: &[&str]| -> Vec<String> {
+            pairs
+                .iter()
+                .map(|&(k, v)| format!(r#""{}":{}"#, keys[k], VALUES[v]))
+                .collect()
+        };
+        let job: String = fields(job, &["refs_per_core", "seed"])
+            .iter()
+            .map(|f| format!(",{f}"))
+            .collect();
+        format!(
+            r#"{{"cmd":"{}","jobs":[{{"workload":"{}","scheme":"{}"{job},"cfg":{{{}}},"delta":{{{}}}}}]}}"#,
+            ["submit", "whatif", "status"][cmd],
+            ["bfs", "pr", "xsbench", "nope"][workload],
+            ["pipm", "native", "nomad", "local", "nope"][scheme],
+            fields(cfg, &CFG_KEYS).join(","),
+            fields(delta, &DELTA_KEYS).join(","),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        #[test]
+        fn arbitrary_bytes_get_structured_errors(bytes in vec(0u8..=255, 0..512)) {
+            rejects_structurally(&String::from_utf8_lossy(&bytes))?;
+        }
+
+        #[test]
+        fn fragment_soups_get_structured_errors(tokens in vec(0..fragments().len(), 0..40)) {
+            let pieces = fragments();
+            let line: String = tokens.iter().map(|&i| pieces[i].as_str()).collect();
+            rejects_structurally(&line)?;
+        }
+
+        #[test]
+        fn templated_requests_get_structured_errors(
+            names in (0usize..3, 0usize..4, 0usize..5),
+            job in vec((0usize..2, 0..VALUES.len()), 0..3),
+            cfg in vec((0usize..CFG_KEYS.len(), 0..VALUES.len()), 0..4),
+            delta in vec((0usize..DELTA_KEYS.len(), 0..VALUES.len()), 0..3)
+        ) {
+            rejects_structurally(&templated(names, &job, &cfg, &delta))?;
+        }
     }
 }

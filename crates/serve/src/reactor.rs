@@ -1,4 +1,5 @@
-//! A std-only non-blocking readiness loop: the daemon's front end.
+//! A non-blocking readiness loop that blocks in `poll(2)`: the daemon's
+//! front end.
 //!
 //! ```text
 //!            ┌────────────── reactor thread ───────────────┐
@@ -6,26 +7,28 @@
 //!            │        ▲                        │           │
 //!            │   deadlines, caps        Respond / Batch    │
 //!            │        │                        ▼           │
-//!  write ◀───│ per-conn write buf ◀── pending FIFO ◀─ poll │◀─ workers fill
-//!            └─────────────────────────────────────────────┘      JobSlots
+//!  write ◀───│ per-conn write buf ◀── pending FIFO ◀ slots │◀─ workers fill
+//!            └──────────────── poll(2) ◀── Waker ◀─────────┘   JobSlots, wake
 //! ```
 //!
 //! One thread multiplexes every connection over nonblocking sockets —
 //! no thread per connection, so thousands of concurrent idle
-//! connections cost a few KiB of buffers each, not a stack. The
-//! workspace is std-only (no epoll/kqueue crates), so readiness is
-//! discovered by polling each socket with nonblocking reads/writes and
-//! sleeping 1 ms when a sweep makes no progress; the sweep is cheap
-//! (one `read` syscall per idle connection). That idle sleep is the
-//! latency floor of every request: a line that lands during it waits
-//! for the next sweep.
+//! connections cost a few KiB of buffers each, not a stack. Each pass
+//! ends in one `poll(2)` on the listener, on every connection that
+//! wants to read or write, and on a [`Waker`] that workers signal when
+//! they fill a [`JobSlot`]; it sleeps until one of them is ready or
+//! the earliest deadline passes. A request is read, answered and
+//! written as soon as its bytes land, and an idle daemon makes no
+//! passes at all. Only connections the kernel reported ready, or whose
+//! batch just landed, cost a `read`/`write` syscall: an idle connection
+//! adds one `pollfd` entry per pass, nothing more.
 //!
 //! Responsibilities and guarantees:
 //!
 //! * **Hits at parse time.** The sink answers whatever it can without
 //!   a worker — status, metrics, errors, and `submit` batches that are
 //!   all run-cache hits — as [`LineOutcome::Respond`], so such a
-//!   request is read, answered and written in one sweep. Only misses,
+//!   request is read, answered and written in one pass. Only misses,
 //!   in-flight keys and partial-hit batches come back as
 //!   [`LineOutcome::Batch`] and wait on worker-filled [`JobSlot`]s.
 //! * **Pipelining with ordered responses.** A connection may send many
@@ -33,6 +36,11 @@
 //!   per-connection FIFO of pending responses. Responses are written
 //!   strictly in request order (head-of-line: a still-computing batch
 //!   blocks the writes behind it, never the reads).
+//! * **Back-pressure.** While a connection's unsent output — the rest
+//!   of its write buffer plus the ready responses queued behind a
+//!   batch — exceeds `max_line_bytes`, the reactor stops reading it. A
+//!   client that pipelines requests without reading the responses
+//!   fills its own socket buffers, not the daemon's memory.
 //! * **Deadlines.** A connection with no complete request in
 //!   `read_timeout` — idle, or a slow-loris client dribbling a partial
 //!   line — is dropped, unless it still has responses in flight (a
@@ -43,34 +51,84 @@
 //! * **Bounded connections.** Beyond `max_connections` concurrent
 //!   connections, new arrivals are handed a structured `overloaded`
 //!   error and closed immediately — load is shed, never silently hung.
-//! * **Drain.** Once the sink reports shutdown, accepting stops, every
-//!   pending response is computed and flushed (bounded by
-//!   `drain_grace`), and the loop returns.
+//! * **Drain.** Once the sink reports shutdown (whoever flips it wakes
+//!   the reactor), accepting stops, every pending response is computed
+//!   and flushed (bounded by `drain_grace`), and the loop returns.
 
+use crate::sys::{self, PollFd, POLLIN, POLLOUT};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::raw::c_short;
+use std::os::unix::net::UnixStream;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// Wakes a reactor blocked in `poll(2)`: the write end of a
+/// non-blocking socket pair whose read end the reactor polls. Clones
+/// share the pair.
+#[derive(Clone)]
+pub struct Waker {
+    pair: Arc<(UnixStream, UnixStream)>,
+}
+
+impl Waker {
+    /// A fresh socket pair.
+    ///
+    /// # Errors
+    ///
+    /// Socket creation failure (out of file descriptors).
+    pub fn new() -> std::io::Result<Waker> {
+        let (rx, tx) = UnixStream::pair()?;
+        rx.set_nonblocking(true)?;
+        tx.set_nonblocking(true)?;
+        Ok(Waker {
+            pair: Arc::new((rx, tx)),
+        })
+    }
+
+    /// Makes the reactor's current or next wait return. A full socket
+    /// (`WouldBlock`) means a wake-up is already pending, so the byte
+    /// is dropped.
+    pub fn wake(&self) {
+        let _ = (&self.pair.1).write(&[1]);
+    }
+
+    /// Empties the read end, so the next wait blocks again. Called
+    /// before the slots are checked: a fill that lands after the drain
+    /// leaves a byte behind and ends the next wait at once.
+    fn drain(&self) {
+        let mut buf = [0u8; 256];
+        while matches!((&self.pair.0).read(&mut buf), Ok(n) if n > 0) {}
+    }
+
+    fn fd(&self) -> RawFd {
+        self.pair.0.as_raw_fd()
+    }
+}
 
 /// A single-assignment result cell a worker fills and the reactor
 /// polls.
 pub struct JobSlot {
     done: Mutex<Option<Result<String, String>>>,
+    waker: Waker,
 }
 
 impl JobSlot {
-    /// An empty slot.
-    pub fn new() -> Arc<Self> {
+    /// An empty slot whose fill wakes the reactor through `waker`.
+    pub fn new(waker: &Waker) -> Arc<Self> {
         Arc::new(JobSlot {
             done: Mutex::new(None),
+            waker: waker.clone(),
         })
     }
 
     /// Deposits the result (`Ok` = canonical encoded response object,
-    /// `Err` = failure detail).
+    /// `Err` = failure detail), then wakes the reactor.
     pub fn fill(&self, value: Result<String, String>) {
         *self.done.lock().expect("job slot poisoned") = Some(value);
+        self.waker.wake();
     }
 
     /// Takes the result if it has landed; never blocks.
@@ -84,7 +142,7 @@ pub enum LineOutcome {
     /// A response is ready now (status, metrics, errors, fills, and
     /// batches answered wholly from the run cache).
     Respond(String),
-    /// The line admitted a batch; the reactor polls the slots and
+    /// The line admitted a batch; the reactor collects the slots and
     /// assembles the response once every slot is filled.
     Batch(Vec<Arc<JobSlot>>),
 }
@@ -98,7 +156,8 @@ pub trait RequestSink: Sync {
     /// Assembles the final response for a completed batch, in job
     /// order.
     fn finish_batch(&self, results: Vec<Result<String, String>>) -> String;
-    /// When true the reactor stops accepting and drains.
+    /// When true the reactor stops accepting and drains. Checked once
+    /// per pass; whoever flips it must wake the reactor's [`Waker`].
     fn shutting_down(&self) -> bool;
     /// An accepted connection (counters).
     fn on_connection(&self);
@@ -115,7 +174,8 @@ pub struct ReactorConfig {
     /// Drop a connection with no complete request for this long (idle
     /// or slow-loris), unless responses are still in flight.
     pub read_timeout: Duration,
-    /// Longest accepted request line in bytes.
+    /// Longest accepted request line in bytes; also the unsent output
+    /// beyond which a connection is no longer read.
     pub max_line_bytes: usize,
     /// On shutdown, how long to keep flushing pending responses.
     pub drain_grace: Duration,
@@ -125,7 +185,7 @@ pub struct ReactorConfig {
 enum Pending {
     /// Encoded and ready to enter the write buffer.
     Ready(String),
-    /// An admitted batch, polled until every slot is filled.
+    /// An admitted batch, collected until every slot is filled.
     Batch {
         slots: Vec<Arc<JobSlot>>,
         results: Vec<Option<Result<String, String>>>,
@@ -142,6 +202,8 @@ struct Conn {
     write_pos: usize,
     /// Responses in request order; only the head may be written.
     pending: VecDeque<Pending>,
+    /// Bytes of the `Ready` entries in `pending`, newlines included.
+    queued_bytes: usize,
     /// Last time a complete request line arrived (or the connection
     /// opened); the read deadline measures from here.
     last_progress: Instant,
@@ -159,6 +221,7 @@ impl Conn {
             write_buf: Vec::new(),
             write_pos: 0,
             pending: VecDeque::new(),
+            queued_bytes: 0,
             last_progress: Instant::now(),
             read_closed: false,
             close_after_flush: false,
@@ -168,54 +231,135 @@ impl Conn {
     fn flushed(&self) -> bool {
         self.write_pos >= self.write_buf.len()
     }
+
+    /// Whether to read more requests: the peer may still send, no
+    /// fatal error is queued, and the unsent output is within bounds.
+    fn reading(&self, cfg: &ReactorConfig) -> bool {
+        let unsent = self.write_buf.len() - self.write_pos + self.queued_bytes;
+        !self.read_closed && !self.close_after_flush && unsent <= cfg.max_line_bytes
+    }
+
+    /// The `pollfd` for the next wait: readable while reading, writable
+    /// while output is unsent, and skipped when it wants neither — so a
+    /// half-closed peer whose batch is still computing cannot end every
+    /// wait with a hang-up.
+    fn interest(&self, cfg: &ReactorConfig) -> PollFd {
+        let mut events: c_short = 0;
+        if self.reading(cfg) {
+            events |= POLLIN;
+        }
+        if !self.flushed() {
+            events |= POLLOUT;
+        }
+        let fd = (events != 0).then(|| self.stream.as_raw_fd());
+        PollFd::new(fd, events)
+    }
+
+    fn push(&mut self, pending: Pending) {
+        if let Pending::Ready(line) = &pending {
+            self.queued_bytes += line.len() + 1;
+        }
+        self.pending.push_back(pending);
+    }
+
+    /// Collects newly filled slots, turns finished batches into ready
+    /// responses, and moves the ready head of the FIFO into the write
+    /// buffer. Returns whether the write buffer grew.
+    fn collect<S: RequestSink>(&mut self, sink: &S) -> bool {
+        for pending in self.pending.iter_mut() {
+            let Pending::Batch { slots, results } = pending else {
+                continue;
+            };
+            for (slot, result) in slots.iter().zip(results.iter_mut()) {
+                if result.is_none() {
+                    *result = slot.try_take();
+                }
+            }
+            if results.iter().all(Option::is_some) {
+                let collected = results.iter_mut().map(|r| r.take().expect("all some"));
+                let line = sink.finish_batch(collected.collect());
+                self.queued_bytes += line.len() + 1;
+                *pending = Pending::Ready(line);
+            }
+        }
+        let mut grew = false;
+        while let Some(Pending::Ready(_)) = self.pending.front() {
+            let Some(Pending::Ready(line)) = self.pending.pop_front() else {
+                unreachable!()
+            };
+            self.queued_bytes -= line.len() + 1;
+            self.write_buf.extend_from_slice(line.as_bytes());
+            self.write_buf.push(b'\n');
+            grew = true;
+        }
+        grew
+    }
 }
 
 /// Runs the readiness loop until the sink shuts down (returning
-/// `Ok(())` after the drain) or the listener fails fatally.
+/// `Ok(())` after the drain) or the listener fails fatally. `waker`
+/// must be the one the sink's [`JobSlot`]s and shutdown path signal.
 ///
 /// # Errors
 ///
 /// Accept-loop I/O errors other than the transient
-/// `WouldBlock`/`Interrupted`/`ConnectionAborted` kinds.
+/// `WouldBlock`/`Interrupted`/`ConnectionAborted` kinds, and `poll(2)`
+/// failures other than `EINTR`.
 pub fn run_reactor<S: RequestSink>(
     listener: TcpListener,
     cfg: &ReactorConfig,
     sink: &S,
+    waker: &Waker,
 ) -> std::io::Result<()> {
+    // `fds` layout: the waker, the listener, then one entry per
+    // connection in `conns` order.
+    const WAKER: usize = 0;
+    const LISTENER: usize = 1;
+    const CONNS: usize = 2;
+
     listener.set_nonblocking(true)?;
     let mut conns: Vec<Conn> = Vec::new();
+    let mut fds: Vec<PollFd> = Vec::new();
     let mut drain_deadline: Option<Instant> = None;
     loop {
-        let mut progressed = false;
+        // Act on what the last wait reported (nothing, on the first
+        // pass): service every connection, then accept.
         let draining = sink.shutting_down();
-        if draining {
-            drain_deadline.get_or_insert_with(|| Instant::now() + cfg.drain_grace);
-        } else {
-            progressed |= accept_new(&listener, cfg, sink, &mut conns)?;
-        }
-
         let now = Instant::now();
-        let mut i = 0;
-        while i < conns.len() {
-            let conn = &mut conns[i];
-            let keep = service_conn(conn, cfg, sink, now, draining, &mut progressed);
-            if keep {
-                i += 1;
-            } else {
-                conns.swap_remove(i);
-            }
-        }
-
         if draining {
-            let grace_over = drain_deadline.is_some_and(|d| now >= d);
-            if conns.is_empty() || grace_over {
+            drain_deadline.get_or_insert(now + cfg.drain_grace);
+        }
+        let mut index = CONNS;
+        conns.retain_mut(|conn| {
+            let revents = fds.get(index).map_or(0, PollFd::revents);
+            index += 1;
+            service_conn(conn, revents, cfg, sink, now, draining)
+        });
+        if let Some(deadline) = drain_deadline {
+            if conns.is_empty() || now >= deadline {
                 return Ok(());
             }
+        } else if fds.get(LISTENER).is_some_and(|fd| fd.revents() != 0) {
+            accept_new(&listener, cfg, sink, &mut conns)?;
         }
-        if !progressed {
-            // Nothing moved this sweep: yield instead of spinning. 1 ms
-            // bounds the added latency well under a simulation's cost.
-            std::thread::sleep(Duration::from_millis(1));
+
+        // Wait for readiness, a wake-up, or the earliest deadline.
+        fds.clear();
+        fds.push(PollFd::new(Some(waker.fd()), POLLIN));
+        let listening = (!draining).then(|| listener.as_raw_fd());
+        fds.push(PollFd::new(listening, POLLIN));
+        let mut deadline = drain_deadline;
+        for conn in &conns {
+            fds.push(conn.interest(cfg));
+            if conn.pending.is_empty() {
+                let expiry = conn.last_progress + cfg.read_timeout;
+                deadline = Some(deadline.map_or(expiry, |d| d.min(expiry)));
+            }
+        }
+        let timeout = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+        sys::wait(&mut fds, timeout)?;
+        if fds[WAKER].revents() != 0 {
+            waker.drain();
         }
     }
 }
@@ -227,12 +371,10 @@ fn accept_new<S: RequestSink>(
     cfg: &ReactorConfig,
     sink: &S,
     conns: &mut Vec<Conn>,
-) -> std::io::Result<bool> {
-    let mut progressed = false;
+) -> std::io::Result<()> {
     loop {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                progressed = true;
                 if conns.len() >= cfg.max_connections {
                     shed_connection(stream, &sink.on_connection_rejected());
                     continue;
@@ -244,7 +386,7 @@ fn accept_new<S: RequestSink>(
                 sink.on_connection();
                 conns.push(Conn::new(stream));
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(progressed),
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
             Err(e)
                 if matches!(
                     e.kind(),
@@ -270,32 +412,29 @@ fn shed_connection(stream: TcpStream, error_line: &str) {
     let _ = stream.write(&line);
 }
 
-/// One sweep over one connection: read, parse, poll batches, write.
-/// Returns false when the connection should be dropped.
+/// One pass over one connection: read if the socket reported ready,
+/// collect batches, write if there is new output or the socket reported
+/// ready, then check the lifecycle. Returns false when the connection
+/// should be dropped.
 fn service_conn<S: RequestSink>(
     conn: &mut Conn,
+    revents: c_short,
     cfg: &ReactorConfig,
     sink: &S,
     now: Instant,
     draining: bool,
-    progressed: &mut bool,
 ) -> bool {
     // ── read & parse ──────────────────────────────────────────────
-    if !conn.read_closed && !conn.close_after_flush {
+    // `revents` may carry only an error or hang-up flag; the read
+    // surfaces it.
+    if revents != 0 {
         let mut tmp = [0u8; 4096];
-        loop {
+        while conn.reading(cfg) {
             match conn.stream.read(&mut tmp) {
-                Ok(0) => {
-                    conn.read_closed = true;
-                    break;
-                }
+                Ok(0) => conn.read_closed = true,
                 Ok(n) => {
-                    *progressed = true;
                     conn.read_buf.extend_from_slice(&tmp[..n]);
                     consume_lines(conn, cfg, sink, now);
-                    if conn.close_after_flush {
-                        break;
-                    }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -304,34 +443,22 @@ fn service_conn<S: RequestSink>(
         }
     }
 
-    // ── poll batches, promote ready heads into the write buffer ───
-    for pending in conn.pending.iter_mut() {
-        poll_batch(pending, sink);
-    }
-    while let Some(Pending::Ready(_)) = conn.pending.front() {
-        let Some(Pending::Ready(line)) = conn.pending.pop_front() else {
-            unreachable!()
-        };
-        conn.write_buf.extend_from_slice(line.as_bytes());
-        conn.write_buf.push(b'\n');
-    }
-
-    // ── write ─────────────────────────────────────────────────────
-    while conn.write_pos < conn.write_buf.len() {
-        match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
-            Ok(0) => return false,
-            Ok(n) => {
-                *progressed = true;
-                conn.write_pos += n;
+    // ── collect batches, then write ───────────────────────────────
+    let grew = conn.collect(sink);
+    if grew || revents != 0 {
+        while !conn.flushed() {
+            match conn.stream.write(&conn.write_buf[conn.write_pos..]) {
+                Ok(0) => return false,
+                Ok(n) => conn.write_pos += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return false,
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return false,
         }
-    }
-    if conn.flushed() && !conn.write_buf.is_empty() {
-        conn.write_buf.clear();
-        conn.write_pos = 0;
+        if conn.flushed() && !conn.write_buf.is_empty() {
+            conn.write_buf.clear();
+            conn.write_pos = 0;
+        }
     }
 
     // ── lifecycle ─────────────────────────────────────────────────
@@ -374,10 +501,10 @@ fn consume_lines<S: RequestSink>(conn: &mut Conn, cfg: &ReactorConfig, sink: &S,
             continue;
         }
         match sink.handle_line(text) {
-            LineOutcome::Respond(response) => conn.pending.push_back(Pending::Ready(response)),
+            LineOutcome::Respond(response) => conn.push(Pending::Ready(response)),
             LineOutcome::Batch(slots) => {
                 let results = vec![None; slots.len()];
-                conn.pending.push_back(Pending::Batch { slots, results });
+                conn.push(Pending::Batch { slots, results });
             }
         }
     }
@@ -387,44 +514,27 @@ fn consume_lines<S: RequestSink>(conn: &mut Conn, cfg: &ReactorConfig, sink: &S,
 /// (close after the error flushes; mid-line there is no resync point).
 fn oversize<S: RequestSink>(conn: &mut Conn, cfg: &ReactorConfig, sink: &S, now: Instant) {
     let response = sink.on_oversized_line(cfg.max_line_bytes);
-    conn.pending.push_back(Pending::Ready(response));
+    conn.push(Pending::Ready(response));
     conn.last_progress = now;
     conn.read_buf.clear();
     conn.close_after_flush = true;
-}
-
-/// Collects any newly finished slots; converts a fully finished batch
-/// into a ready response.
-fn poll_batch<S: RequestSink>(pending: &mut Pending, sink: &S) {
-    let Pending::Batch { slots, results } = pending else {
-        return;
-    };
-    for (slot, result) in slots.iter().zip(results.iter_mut()) {
-        if result.is_none() {
-            *result = slot.try_take();
-        }
-    }
-    if results.iter().all(Option::is_some) {
-        let collected: Vec<Result<String, String>> = results
-            .iter_mut()
-            .map(|r| r.take().expect("all some"))
-            .collect();
-        *pending = Pending::Ready(sink.finish_batch(collected));
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{BufRead, BufReader};
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::thread;
 
     /// A protocol-free sink: echoes lines, parks `job` lines on a slot
-    /// the test fills by hand, and exposes the shutdown flag.
+    /// the test fills by hand, exposes the shutdown flag, and counts
+    /// the reactor's passes (one `shutting_down` call each).
     struct EchoSink {
         shutdown: AtomicBool,
         parked: Mutex<Vec<Arc<JobSlot>>>,
+        waker: Waker,
+        passes: AtomicUsize,
     }
 
     impl EchoSink {
@@ -432,14 +542,30 @@ mod tests {
             Arc::new(EchoSink {
                 shutdown: AtomicBool::new(false),
                 parked: Mutex::new(Vec::new()),
+                waker: Waker::new().unwrap(),
+                passes: AtomicUsize::new(0),
             })
+        }
+
+        fn passes(&self) -> usize {
+            self.passes.load(Ordering::SeqCst)
+        }
+
+        /// Blocks until a `job` line has parked a slot, and returns it.
+        fn wait_parked(&self) -> Arc<JobSlot> {
+            loop {
+                if let Some(slot) = self.parked.lock().unwrap().pop() {
+                    return slot;
+                }
+                thread::sleep(Duration::from_millis(5));
+            }
         }
     }
 
     impl RequestSink for EchoSink {
         fn handle_line(&self, line: &str) -> LineOutcome {
             if line == "job" {
-                let slot = JobSlot::new();
+                let slot = JobSlot::new(&self.waker);
                 self.parked.lock().unwrap().push(Arc::clone(&slot));
                 LineOutcome::Batch(vec![slot])
             } else {
@@ -456,6 +582,7 @@ mod tests {
         }
 
         fn shutting_down(&self) -> bool {
+            self.passes.fetch_add(1, Ordering::SeqCst);
             self.shutdown.load(Ordering::SeqCst)
         }
 
@@ -482,7 +609,8 @@ mod tests {
             let addr = listener.local_addr().unwrap().to_string();
             let sink = EchoSink::new();
             let worker = Arc::clone(&sink);
-            let handle = thread::spawn(move || run_reactor(listener, &cfg, &*worker));
+            let handle =
+                thread::spawn(move || run_reactor(listener, &cfg, &*worker, &worker.waker));
             Harness { addr, sink, handle }
         }
 
@@ -497,6 +625,7 @@ mod tests {
 
         fn stop(self) {
             self.sink.shutdown.store(true, Ordering::SeqCst);
+            self.sink.waker.wake();
             self.handle.join().unwrap().unwrap();
         }
     }
@@ -639,5 +768,135 @@ mod tests {
         r.read_line(&mut resp).unwrap();
         assert_eq!(resp.trim_end(), "late");
         h.handle.join().unwrap().unwrap();
+    }
+    #[test]
+    fn idle_connections_and_a_parked_batch_cost_no_passes() {
+        let h = Harness::start(cfg());
+        let mut idle = Vec::new();
+        for i in 0..3 {
+            let (mut w, mut r) = h.connect();
+            assert_eq!(
+                round_trip(&mut w, &mut r, &format!("hi{i}")),
+                format!("echo:hi{i}")
+            );
+            idle.push((w, r));
+        }
+        let (mut w, mut r) = h.connect();
+        w.write_all(b"job\n").unwrap();
+        let slot = h.sink.wait_parked();
+        thread::sleep(Duration::from_millis(20));
+        let before = h.sink.passes();
+        thread::sleep(Duration::from_millis(300));
+        let passes = h.sink.passes() - before;
+        assert!(passes <= 10, "{passes} passes in 300 ms while idle");
+        slot.fill(Ok("done".to_string()));
+        let mut resp = String::new();
+        r.read_line(&mut resp).unwrap();
+        assert_eq!(resp.trim_end(), "done");
+        h.stop();
+    }
+
+    #[test]
+    fn closed_client_with_a_parked_batch_does_not_spin() {
+        let h = Harness::start(cfg());
+        let (mut w, r) = h.connect();
+        w.write_all(b"job\n").unwrap();
+        let slot = h.sink.wait_parked();
+        drop((w, r));
+        // Let the reactor read the EOF, then watch it stay asleep.
+        thread::sleep(Duration::from_millis(50));
+        let before = h.sink.passes();
+        thread::sleep(Duration::from_millis(300));
+        assert_eq!(h.sink.passes(), before, "a hung-up peer woke the reactor");
+        // The late fill is written to a closed socket: the connection
+        // is dropped and the reactor keeps serving.
+        slot.fill(Ok("late".to_string()));
+        let (mut w, mut r) = h.connect();
+        assert_eq!(round_trip(&mut w, &mut r, "still"), "echo:still");
+        h.stop();
+    }
+
+    #[test]
+    fn shutdown_and_a_wake_end_an_idle_reactor_promptly() {
+        let h = Harness::start(cfg());
+        let (mut w, mut r) = h.connect();
+        assert_eq!(round_trip(&mut w, &mut r, "a"), "echo:a");
+        thread::sleep(Duration::from_millis(50));
+        let sink = Arc::clone(&h.sink);
+        let start = Instant::now();
+        thread::spawn(move || {
+            sink.shutdown.store(true, Ordering::SeqCst);
+            sink.waker.wake();
+        });
+        h.handle.join().unwrap().unwrap();
+        let took = start.elapsed();
+        assert!(took < Duration::from_millis(100), "drain took {took:?}");
+    }
+
+    #[test]
+    fn a_fill_from_another_thread_is_written_without_socket_traffic() {
+        let h = Harness::start(cfg());
+        let (mut w, mut r) = h.connect();
+        w.write_all(b"job\n").unwrap();
+        let slot = h.sink.wait_parked();
+        thread::sleep(Duration::from_millis(50));
+        let start = Instant::now();
+        thread::spawn(move || slot.fill(Ok("filled".to_string())));
+        let mut resp = String::new();
+        r.read_line(&mut resp).unwrap();
+        let took = start.elapsed();
+        assert_eq!(resp.trim_end(), "filled");
+        assert!(
+            took < Duration::from_millis(50),
+            "fill reached the client in {took:?}"
+        );
+        h.stop();
+    }
+
+    #[test]
+    fn a_client_that_never_reads_is_held_by_back_pressure() {
+        /// Fixed-length request lines, so a byte count maps to a line
+        /// count.
+        const LINE: usize = 64;
+        fn line(i: usize) -> String {
+            format!("p{i:08}{}\n", "x".repeat(LINE - 10))
+        }
+        let total = 64 << 20;
+        // A deadline far beyond the 2 s write timeout: the connection
+        // must survive its stall however long the buffers take to fill.
+        let h = Harness::start(ReactorConfig {
+            read_timeout: Duration::from_secs(60),
+            ..cfg()
+        });
+        let (mut w, mut r) = h.connect();
+        w.set_write_timeout(Some(Duration::from_secs(2))).unwrap();
+        let (mut sent, mut chunk, mut at) = (0, Vec::new(), 0);
+        while sent < total {
+            if at == chunk.len() {
+                let first = sent / LINE;
+                chunk = (first..first + 1024)
+                    .map(line)
+                    .collect::<String>()
+                    .into_bytes();
+                at = 0;
+            }
+            match w.write(&chunk[at..]) {
+                Ok(n) => {
+                    sent += n;
+                    at += n;
+                }
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => break,
+                Err(e) => panic!("write failed: {e}"),
+            }
+        }
+        assert!(sent < total, "the daemon buffered all {sent} bytes");
+        // Every complete line sent is answered, in order, once the
+        // client reads.
+        for i in 0..sent / LINE {
+            let mut resp = String::new();
+            r.read_line(&mut resp).unwrap();
+            assert_eq!(resp.trim_end(), format!("echo:{}", line(i).trim_end()));
+        }
+        h.stop();
     }
 }

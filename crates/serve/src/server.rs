@@ -11,15 +11,17 @@
 //!
 //! The front end is [`reactor::run_reactor`]: one thread multiplexes
 //! every connection over nonblocking sockets, so concurrency is bounded
-//! by `max_connections`, not by thread count. A `submit`/`whatif` batch
-//! whose every job is already finished in the run cache is answered at
-//! parse time, on the reactor thread, and written in the same sweep
-//! that read it. Only misses, keys still in flight, and partial-hit
-//! batches reach the queue: such a batch is admitted atomically (all
-//! jobs or a structured `overloaded` rejection); workers fill per-job
-//! [`JobSlot`]s the reactor polls, and the response line is written
-//! once the whole batch has landed. What a hit still waits for is the
-//! reactor's 1 ms idle sleep before the sweep that reads it.
+//! by `max_connections`, not by thread count. It sleeps in `poll(2)`
+//! until a socket is ready, so a request is read the moment it lands.
+//! A `submit`/`whatif` batch whose every job is already finished in the
+//! run cache is answered at parse time, on the reactor thread, and
+//! written in the same pass that read it: a hit costs about what a
+//! `status` round trip does. Only misses, keys still in flight, and
+//! partial-hit batches reach the queue: such a batch is admitted
+//! atomically (all jobs or a structured `overloaded` rejection);
+//! workers fill per-job [`JobSlot`]s, each fill wakes the reactor
+//! through the daemon's [`Waker`], and the response line is written
+//! once the whole batch has landed.
 //!
 //! The run cache stores **canonical encoded result strings**, not
 //! parsed values: a hit and a fresh compute serve the exact same bytes,
@@ -27,12 +29,13 @@
 //! `route_nodes` set the daemon is a *router*: jobs forward to their
 //! [`HashRing`](crate::router::HashRing) owner, falling back to local
 //! compute, and the router's own run cache answers repeats. `shutdown`
-//! flips a flag: the reactor drains open connections, workers drain the
-//! queue, and [`Server::run`] returns `Ok(())`.
+//! flips a flag and wakes both sides: the reactor drains open
+//! connections, workers drain the queue, and [`Server::run`] returns
+//! `Ok(())`.
 
 use crate::json::Json;
 use crate::proto::{self, encode_batch_raw, encode_result, kind, Job, ProtoError, Request};
-use crate::reactor::{self, JobSlot, LineOutcome, ReactorConfig, RequestSink};
+use crate::reactor::{self, JobSlot, LineOutcome, ReactorConfig, RequestSink, Waker};
 use crate::router::{RouterConfig, RouterState};
 use pipm_core::{resume_one, run_one, run_prefix_one, Checkpoint, RunCache};
 use std::collections::VecDeque;
@@ -140,7 +143,11 @@ struct Shared {
     ckpt_cache: RunCache<Checkpoint>,
     queue: Mutex<VecDeque<QueuedJob>>,
     queue_cv: Condvar,
+    /// Set (under `queue`'s lock) by [`Shared::begin_shutdown`] only.
     shutdown: Arc<AtomicBool>,
+    /// Signalled by every job-slot fill and by shutdown, so the reactor
+    /// never sleeps through either.
+    waker: Waker,
     counters: Counters,
     started: Instant,
     /// `Some` when this daemon routes instead of (only) computing.
@@ -148,6 +155,18 @@ struct Shared {
 }
 
 impl Shared {
+    /// Flags the daemon to drain and wakes everyone waiting for work.
+    /// The flag is set and workers notified under the queue lock, so a
+    /// worker between its shutdown check and its wait cannot miss it;
+    /// the waker ends the reactor's `poll(2)`. Idempotent.
+    fn begin_shutdown(&self) {
+        let queue = self.queue.lock().unwrap();
+        self.shutdown.store(true, Ordering::SeqCst);
+        self.queue_cv.notify_all();
+        drop(queue);
+        self.waker.wake();
+    }
+
     /// Atomically admits a whole batch, or rejects it if the queue
     /// cannot take every job (partial admission would let a half-batch
     /// starve under load).
@@ -183,7 +202,7 @@ impl Shared {
         }
         let mut slots = Vec::with_capacity(jobs.len());
         for job in jobs {
-            let slot = JobSlot::new();
+            let slot = JobSlot::new(&self.waker);
             slots.push(Arc::clone(&slot));
             queue.push_back(QueuedJob { job, slot });
         }
@@ -245,7 +264,9 @@ impl Shared {
     }
 
     /// Worker loop: pop, run through the cache, fill the slot. Exits
-    /// once shutdown is flagged *and* the queue is drained.
+    /// once shutdown is flagged *and* the queue is drained; between
+    /// jobs it waits on `queue_cv`, which admission and
+    /// [`begin_shutdown`](Shared::begin_shutdown) notify under the lock.
     fn worker(&self) {
         loop {
             let queued = {
@@ -257,11 +278,7 @@ impl Shared {
                     if self.shutdown.load(Ordering::SeqCst) {
                         break None;
                     }
-                    let (guard, _timeout) = self
-                        .queue_cv
-                        .wait_timeout(queue, Duration::from_millis(50))
-                        .unwrap();
-                    queue = guard;
+                    queue = self.queue_cv.wait(queue).unwrap();
                 }
             };
             let Some(QueuedJob { job, slot }) = queued else {
@@ -405,8 +422,7 @@ impl RequestSink for Shared {
             Request::Status => LineOutcome::Respond(self.status_response()),
             Request::Metrics => LineOutcome::Respond(self.metrics_response()),
             Request::Shutdown => {
-                self.shutdown.store(true, Ordering::SeqCst);
-                self.queue_cv.notify_all();
+                self.begin_shutdown();
                 LineOutcome::Respond(
                     Json::Obj(vec![
                         ("ok".into(), Json::Bool(true)),
@@ -497,8 +513,7 @@ pub struct ShutdownHandle {
 impl ShutdownHandle {
     /// Flags the daemon to drain and exit; idempotent.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.queue_cv.notify_all();
+        self.shared.begin_shutdown();
     }
 }
 
@@ -532,6 +547,7 @@ impl Server {
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             shutdown: Arc::new(AtomicBool::new(false)),
+            waker: Waker::new()?,
             counters: Counters::default(),
             started: Instant::now(),
             router,
@@ -583,11 +599,10 @@ impl Server {
             max_line_bytes: shared.cfg.max_line_bytes,
             drain_grace: DRAIN_GRACE,
         };
-        let outcome = reactor::run_reactor(listener, &reactor_cfg, &*shared);
+        let outcome = reactor::run_reactor(listener, &reactor_cfg, &*shared, &shared.waker);
         // Reached on drain (Ok) or a fatal listener error (Err): either
         // way, stop the workers and the background threads.
-        shared.shutdown.store(true, Ordering::SeqCst);
-        shared.queue_cv.notify_all();
+        shared.begin_shutdown();
         for w in workers {
             let _ = w.join();
         }
