@@ -13,13 +13,12 @@
 //! threads ([`pipm_core::par_map`]) under the shared
 //! [`pipm_core::RunCache`] with in-flight deduplication (two figures
 //! never simulate the same point twice, even concurrently), and formats
-//! its table from the returned vector. Full-run points are keyed by the
-//! canonical [`pipm_core::job_key`] content address of `(workload,
-//! scheme, cfg, params)` — the same fingerprint the `pipm-serve` daemon
-//! uses, so any consumer of the simulator addresses identical runs
-//! identically. Each `System` is fully self-contained, so parallel
-//! results are bit-identical to serial ones (`tests/determinism.rs`
-//! asserts this).
+//! its table from the returned vector. Every point is keyed by
+//! [`pipm_core::job_key`] and computed by [`pipm_core::Runner::run`], the
+//! same address and compute path the `pipm-serve` daemon uses
+//! (`tests/serve.rs` checks the fingerprints agree). Each `System` is
+//! fully self-contained, so parallel results are bit-identical to serial
+//! ones (`tests/determinism.rs` asserts this).
 //!
 //! Scale knobs (environment variables):
 //!
@@ -44,10 +43,7 @@ pub mod report;
 pub mod stats;
 pub mod svg;
 
-use pipm_core::{
-    checkpoint_key, job_key, par_map, resume_one, run_one, run_one_with_delta, run_prefix_one,
-    CfgDelta, Checkpoint, RunCache, RunResult,
-};
+use pipm_core::{job_key, par_map, CfgDelta, RunCache, RunResult, Runner};
 use pipm_types::{AccessClass, SchemeKind, SystemConfig};
 use pipm_workloads::{Workload, WorkloadParams};
 use std::io::Write as _;
@@ -55,14 +51,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
-
-/// Warm-up fraction of the checkpointed sweep figures (Fig. 14–17 and
-/// the threshold sweep): the first 2/3 of each run is the shared warmed
-/// prefix — simulated once per `(workload, scheme)` and forked — and the
-/// final third is the measured tail, simulated entirely under each
-/// point's [`CfgDelta`]. Re-exported from `pipm-core` so `pipm-serve`'s
-/// `whatif` requests use the identical split (and checkpoint keys).
-pub use pipm_core::SWEEP_WARMUP_FRACTION;
 
 /// Everything the figures need from one simulation run, in a flat,
 /// TSV-serializable form.
@@ -210,17 +198,6 @@ impl Measurement {
     }
 }
 
-/// How a [`Point`] is simulated.
-#[derive(Clone, Debug)]
-enum PointRun {
-    /// One full simulation under this configuration.
-    Full(Box<SystemConfig>),
-    /// A checkpointed sweep point: the warmed prefix under the sweep base
-    /// configuration (shared by every point of the same `(workload,
-    /// scheme)`), then the measured tail under this delta.
-    Sweep(CfgDelta),
-}
-
 /// One simulation point of a figure: what [`Harness::measure_all`]
 /// measures.
 #[derive(Clone, Debug)]
@@ -230,7 +207,9 @@ pub struct Point {
     /// Display name of the configuration deviation ("" for the default),
     /// shown on the `[run]` lines; not part of the cache key.
     label: String,
-    run: PointRun,
+    cfg: SystemConfig,
+    /// `Some` for a checkpointed sweep point (see [`pipm_core::job_key`]).
+    delta: Option<CfgDelta>,
 }
 
 impl Point {
@@ -248,7 +227,8 @@ impl Point {
             workload,
             scheme,
             label: label.into(),
-            run: PointRun::Full(Box::new(cfg)),
+            cfg,
+            delta: None,
         }
     }
 
@@ -269,7 +249,8 @@ impl Point {
             workload,
             scheme,
             label: label.into(),
-            run: PointRun::Sweep(delta),
+            cfg: SystemConfig::experiment_scale(),
+            delta: Some(delta),
         }
     }
 }
@@ -339,21 +320,13 @@ pub struct Harness {
     pub workloads: Vec<Workload>,
     workers: usize,
     quiet: bool,
-    no_fork: bool,
     cache: RunCache<Measurement>,
-    /// Warmed sweep checkpoints, keyed by [`pipm_core::checkpoint_key`].
-    /// `get_or_compute` clones the stored value out, and cloning a
-    /// [`Checkpoint`] *is* the fork, so every lookup hands back an
-    /// independent warmed simulator. Bounded: checkpoints hold a full
-    /// deep-copied `System` each.
-    ckpt_cache: RunCache<Checkpoint>,
+    /// Computes every uncached point; owns the warmed sweep checkpoints.
+    runner: Runner,
     cache_path: Option<PathBuf>,
     runs: AtomicU64,
     sim_cycles: AtomicU64,
     run_wall_nanos: AtomicU64,
-    ckpt_prefixes: AtomicU64,
-    ckpt_forks: AtomicU64,
-    ckpt_prefix_wall_nanos: AtomicU64,
     timings: Mutex<Vec<FigureTiming>>,
 }
 
@@ -456,7 +429,9 @@ impl Harness {
 
     /// Builds a harness with explicit settings (no environment reads)
     /// covering every workload; used by tests. `cache_path = None`
-    /// disables the on-disk cache.
+    /// disables the on-disk cache. Corrupt lines are skipped, and so is
+    /// an unterminated last line: a torn append may have cut `0.83` to a
+    /// `0.8` that still parses.
     pub fn with_settings(
         refs_per_core: u64,
         seed: u64,
@@ -466,7 +441,8 @@ impl Harness {
         let cache = RunCache::unbounded();
         if let Some(p) = &cache_path {
             if let Ok(text) = std::fs::read_to_string(p) {
-                for line in text.lines() {
+                let whole = &text[..text.rfind('\n').map_or(0, |end| end + 1)];
+                for line in whole.lines() {
                     let mut parts = line.splitn(2, '\t');
                     if let (Some(key), Some(rest)) = (parts.next(), parts.next()) {
                         let fields: Vec<&str> = rest.split('\t').collect();
@@ -485,26 +461,14 @@ impl Harness {
             // threads than cores only adds scheduling overhead (warns once).
             workers: pipm_core::effective_workers(workers).max(1),
             quiet: true,
-            no_fork: false,
             cache,
-            ckpt_cache: RunCache::new(64),
+            runner: Runner::new(64),
             cache_path,
             runs: AtomicU64::new(0),
             sim_cycles: AtomicU64::new(0),
             run_wall_nanos: AtomicU64::new(0),
-            ckpt_prefixes: AtomicU64::new(0),
-            ckpt_forks: AtomicU64::new(0),
-            ckpt_prefix_wall_nanos: AtomicU64::new(0),
             timings: Mutex::new(Vec::new()),
         }
-    }
-
-    /// Disables checkpoint forking for the sweep figures: every sweep
-    /// point re-simulates its warmed prefix from scratch. Results are
-    /// bit-identical either way; tests use the unforked sweep as the
-    /// reference for the forked one.
-    pub fn set_no_fork(&mut self, no_fork: bool) {
-        self.no_fork = no_fork;
     }
 
     /// Number of worker threads [`Harness::measure_all`] fans out to.
@@ -521,19 +485,14 @@ impl Harness {
     /// Results are bit-identical to a serial run (each `System` is
     /// self-contained; see `tests/determinism.rs`).
     ///
-    /// A full-run point is keyed by the canonical [`pipm_core::job_key`]
-    /// over its configuration, so two figures can never alias distinct
-    /// configurations (and identical points always share one run,
-    /// whatever they are labelled). A sweep point's warmed prefix (the
-    /// warm-up window, 2/3 of the run) is simulated **once** per
-    /// `(workload, scheme)` under the base configuration and cached as a
-    /// [`Checkpoint`]; the point then forks the checkpoint and simulates
-    /// only the measured tail under its delta. Results are bit-identical
-    /// to an uninterrupted run applying the delta at the same boundary
-    /// (`tests/checkpoint.rs`), which is what [`Harness::set_no_fork`]
-    /// falls back to. Sweep points live in their own cache namespace
-    /// (`sweep-v1|…`): prefix-under-base + tail-under-delta is *not* the
-    /// same run as a full simulation under the delta'd configuration.
+    /// Every point is keyed by the canonical [`pipm_core::job_key`] of
+    /// its configuration and delta, so two figures can never alias
+    /// distinct configurations (and identical points always share one
+    /// run, whatever they are labelled), and computed by
+    /// [`pipm_core::Runner::run`] with the same arguments. A sweep
+    /// point's warmed prefix (the warm-up window, 2/3 of the run) is
+    /// simulated **once** per `(workload, scheme)` and forked; the point
+    /// then simulates only the measured tail under its delta.
     pub fn measure_all(&self, points: &[Point]) -> Vec<Measurement> {
         par_map(points, self.workers, |p| self.measure_point(p))
     }
@@ -543,45 +502,15 @@ impl Harness {
             refs_per_core: self.refs_per_core,
             seed: self.seed,
         };
-        match &p.run {
-            PointRun::Full(cfg) => {
-                let key = job_key(p.workload, p.scheme, cfg, &params);
-                self.cache.get_or_compute(&key, || {
-                    let started = Instant::now();
-                    let run = run_one(p.workload, p.scheme, cfg.as_ref().clone(), &params);
-                    self.record_run(p, &key, &run, started.elapsed())
-                })
-            }
-            PointRun::Sweep(delta) => {
-                let cfg = self.sweep_base_cfg();
-                let prefix = self.sweep_prefix_refs(&cfg);
-                let key = format!(
-                    "sweep-v1|{}|prefix={prefix}|delta={delta:?}",
-                    job_key(p.workload, p.scheme, &cfg, &params)
-                );
-                self.cache.get_or_compute(&key, || {
-                    let (run, wall) = if self.no_fork {
-                        let started = Instant::now();
-                        let run = run_one_with_delta(
-                            p.workload,
-                            p.scheme,
-                            cfg.clone(),
-                            &params,
-                            prefix,
-                            delta,
-                        );
-                        (run, started.elapsed())
-                    } else {
-                        let ckpt = self.warmed_checkpoint(p, &cfg, &params, prefix);
-                        self.ckpt_forks.fetch_add(1, Ordering::Relaxed);
-                        let started = Instant::now();
-                        let run = resume_one(p.workload, p.scheme, ckpt, delta);
-                        (run, started.elapsed())
-                    };
-                    self.record_run(p, &key, &run, wall)
-                })
-            }
-        }
+        let delta = p.delta.as_ref();
+        let key = job_key(p.workload, p.scheme, &p.cfg, &params, delta);
+        self.cache.get_or_compute(&key, || {
+            let started = Instant::now();
+            let run = self
+                .runner
+                .run(p.workload, p.scheme, &p.cfg, &params, delta);
+            self.record_run(p, &key, &run, started.elapsed())
+        })
     }
 
     /// Appends one cache line to the on-disk cache. The line is written
@@ -600,57 +529,6 @@ impl Harness {
         {
             let _ = f.write_all(line.as_bytes());
         }
-    }
-
-    /// The base configuration shared by every point of a checkpointed
-    /// sweep: experiment scale, with the warm-up window widened to
-    /// [`SWEEP_WARMUP_FRACTION`] so the checkpoint taken at the warm-up
-    /// boundary leaves the *entire measured tail* under the point's
-    /// [`CfgDelta`].
-    fn sweep_base_cfg(&self) -> SystemConfig {
-        let mut cfg = SystemConfig::experiment_scale();
-        cfg.warmup_fraction = SWEEP_WARMUP_FRACTION;
-        cfg
-    }
-
-    /// The sweep fork point in total processed references: the warm-up
-    /// boundary of [`Harness::sweep_base_cfg`], computed with the same
-    /// expression the simulator uses to place it.
-    fn sweep_prefix_refs(&self, cfg: &SystemConfig) -> u64 {
-        let total = self.refs_per_core * cfg.total_cores() as u64;
-        (cfg.warmup_fraction * total as f64) as u64
-    }
-
-    /// Returns a fork of the warmed checkpoint for the point's
-    /// `(workload, scheme)` under the sweep base configuration,
-    /// simulating the prefix on the first request. Concurrent requests
-    /// deduplicate: one worker simulates the prefix, the others block and
-    /// are handed forks.
-    fn warmed_checkpoint(
-        &self,
-        p: &Point,
-        cfg: &SystemConfig,
-        params: &WorkloadParams,
-        prefix: u64,
-    ) -> Checkpoint {
-        let (workload, scheme) = (p.workload, p.scheme);
-        let key = checkpoint_key(workload, scheme, cfg, params, prefix);
-        self.ckpt_cache.get_or_compute(&key, || {
-            let started = Instant::now();
-            let ckpt = run_prefix_one(workload, scheme, cfg.clone(), params, prefix);
-            let wall = started.elapsed();
-            self.ckpt_prefixes.fetch_add(1, Ordering::Relaxed);
-            self.ckpt_prefix_wall_nanos
-                .fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
-            if !self.quiet {
-                eprintln!(
-                    "[prefix] {workload}/{scheme} refs={} wall={:.2}s",
-                    ckpt.processed(),
-                    wall.as_secs_f64(),
-                );
-            }
-            ckpt
-        })
     }
 
     /// Counts an executed run, prints its `[run]` line, appends it to
@@ -686,15 +564,16 @@ impl Harness {
     /// Snapshot of the observability counters.
     pub fn counters(&self) -> HarnessCounters {
         let cache = self.cache.stats();
+        let runner = self.runner.stats();
         HarnessCounters {
             runs: self.runs.load(Ordering::Relaxed),
             cache_hits: cache.hits,
             cache_inflight_dedup: cache.inflight_waits,
             sim_cycles: self.sim_cycles.load(Ordering::Relaxed),
             run_wall_nanos: self.run_wall_nanos.load(Ordering::Relaxed),
-            ckpt_prefixes: self.ckpt_prefixes.load(Ordering::Relaxed),
-            ckpt_forks: self.ckpt_forks.load(Ordering::Relaxed),
-            ckpt_prefix_wall_nanos: self.ckpt_prefix_wall_nanos.load(Ordering::Relaxed),
+            ckpt_prefixes: runner.prefixes,
+            ckpt_forks: runner.forks,
+            ckpt_prefix_wall_nanos: runner.prefix_wall_nanos,
         }
     }
 
@@ -815,6 +694,7 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pipm_core::{run_one_with_delta, sweep_prefix};
 
     #[test]
     fn geomean_basics() {
@@ -848,9 +728,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn measurement_tsv_round_trip() {
-        let m = Measurement {
+    fn sample() -> Measurement {
+        Measurement {
             exec_cycles: 123,
             ipc: 0.5,
             local_hit: 0.25,
@@ -868,7 +747,12 @@ mod tests {
             footprint_line: 0.05,
             local_remap_hit_rate: 0.9,
             global_remap_hit_rate: 0.8,
-        };
+        }
+    }
+
+    #[test]
+    fn measurement_tsv_round_trip() {
+        let m = sample();
         let tsv = m.to_tsv();
         let fields: Vec<&str> = tsv.split('\t').collect();
         let back = Measurement::from_tsv(&fields).unwrap();
@@ -918,6 +802,19 @@ mod tests {
             link_latency_ns: Some(ns),
             ..CfgDelta::default()
         }
+    }
+
+    /// The unforked reference for a sweep point: one uninterrupted run
+    /// that applies the point's delta at the sweep fork point.
+    fn unforked(h: &Harness, p: &Point) -> Measurement {
+        let params = WorkloadParams {
+            refs_per_core: h.refs_per_core,
+            seed: h.seed,
+        };
+        let (base, prefix) = sweep_prefix(&p.cfg, &params);
+        let delta = p.delta.as_ref().expect("a sweep point");
+        let run = run_one_with_delta(p.workload, p.scheme, base, &params, prefix, delta);
+        Measurement::from_run(&run)
     }
 
     #[test]
@@ -976,13 +873,11 @@ mod tests {
             ),
         ];
         let forked = Harness::with_settings(10_000, 7, None, 2);
-        let mut straight = Harness::with_settings(10_000, 7, None, 2);
-        straight.set_no_fork(true);
         let a = forked.measure_all(&points);
-        let b = straight.measure_all(&points);
-        for ((point, a), b) in points.iter().zip(&a).zip(&b) {
+        for (point, a) in points.iter().zip(&a) {
             assert_eq!(
-                a, b,
+                *a,
+                unforked(&forked, point),
                 "{}: forked must be bit-identical to unforked",
                 point.label
             );
@@ -1014,24 +909,21 @@ mod tests {
                 )
             })
             .collect();
-        let time_points = |h: &Harness| {
-            let started = Instant::now();
-            h.measure_all(&points);
-            started.elapsed()
-        };
         let forked = Harness::with_settings(120_000, 7, None, 1);
-        let forked_wall = time_points(&forked);
-        let mut straight = Harness::with_settings(120_000, 7, None, 1);
-        straight.set_no_fork(true);
-        let straight_wall = time_points(&straight);
+        let started = Instant::now();
+        forked.measure_all(&points);
+        let forked_wall = started.elapsed();
+        let started = Instant::now();
+        for point in &points {
+            unforked(&forked, point);
+        }
+        let straight_wall = started.elapsed();
         assert_eq!(forked.counters().ckpt_prefixes, 1);
         assert_eq!(forked.counters().ckpt_forks, 8);
         assert!(
             straight_wall >= forked_wall * 2,
             "expected >=2x serial wall-clock reduction: forked={forked_wall:?} unforked={straight_wall:?}"
         );
-        let s = straight.counters();
-        assert_eq!((s.ckpt_prefixes, s.ckpt_forks), (0, 0));
     }
 
     #[test]
@@ -1063,6 +955,11 @@ mod tests {
         // the caches must keep them apart even when the final
         // configurations are identical.
         let h = Harness::with_settings(10_000, 7, None, 1);
+        let params = WorkloadParams {
+            refs_per_core: h.refs_per_core,
+            seed: h.seed,
+        };
+        let (base, _) = sweep_prefix(&SystemConfig::experiment_scale(), &params);
         h.measure_all(&[
             Point::sweep(
                 Workload::Bfs,
@@ -1074,7 +971,7 @@ mod tests {
                 },
             ),
             Point::full(Workload::Bfs, SchemeKind::Pipm, "thr=4", |cfg| {
-                cfg.warmup_fraction = SWEEP_WARMUP_FRACTION;
+                *cfg = base;
                 cfg.pipm.migration_threshold = 4;
             }),
         ]);
@@ -1122,5 +1019,26 @@ mod tests {
         assert_eq!(preloads, 16, "every appended line must reload");
         assert_eq!(again, measured);
         assert_eq!(reloaded.counters().runs, 0);
+    }
+
+    #[test]
+    fn disk_cache_preloads_only_whole_lines() {
+        let path = std::env::temp_dir().join(format!("pipm_torn_lines_{}.tsv", std::process::id()));
+        let whole = Measurement {
+            global_remap_hit_rate: 0.83,
+            ..sample()
+        };
+        let line = |key: &str| format!("{key}\t{}", whole.to_tsv());
+        // A short write of the last line cut `0.83` to `0.8`, which
+        // still parses: only the missing newline gives it away.
+        let torn = line("torn");
+        let torn = torn.strip_suffix('3').expect("ends in the 0.83 field");
+        let foreign = format!("{}\textra", line("foreign"));
+        std::fs::write(&path, format!("{}\n{foreign}\n{torn}", line("whole"))).unwrap();
+        let h = Harness::with_settings(10_000, 7, Some(path.clone()), 1);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(h.cache.stats().preloads, 1, "only the whole line loads");
+        assert_eq!(h.cache.get("whole"), Some(whole));
+        assert_eq!(h.cache.get("torn"), None);
     }
 }

@@ -7,8 +7,8 @@
 //! it can be cached under a canonical fingerprint and shared between
 //! consumers. This module provides:
 //!
-//! * [`job_key`] / [`job_fingerprint`] — the canonical content address
-//!   of a [`run_one`](crate::run_one) call;
+//! * [`job_key`] — the canonical content address of a job, a full run
+//!   or a checkpointed sweep point (see [`sweep_prefix`]);
 //! * [`RunCache`] — a thread-safe map from key to computed value with
 //!   **in-flight deduplication** (concurrent identical requests compute
 //!   once; the others block until the result lands), an **LRU capacity
@@ -18,55 +18,75 @@
 //! cache its flat `Measurement` rows while the serve daemon caches full
 //! [`RunResult`](crate::RunResult)s.
 
+use crate::CfgDelta;
 use pipm_types::{SchemeKind, SystemConfig};
 use pipm_workloads::{Workload, WorkloadParams};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
-/// Canonical job key: a stable, human-readable encoding of the full
-/// argument set of a [`run_one`](crate::run_one) call. Two jobs with the
-/// same key are guaranteed to produce bit-identical results (the
-/// simulator is deterministic), so the key is a valid content address.
+/// Warm-up fraction of checkpointed sweeps: the shared prefix is the
+/// first two thirds of the trace, so the whole measured window (the
+/// final third) runs under each point's [`CfgDelta`].
+pub const SWEEP_WARMUP_FRACTION: f64 = 2.0 / 3.0;
+
+/// Canonical job key: a stable, human-readable encoding of every input
+/// of a job, hence a valid content address (the simulator is
+/// deterministic). It is the only key function: every cache keys on it,
+/// and [`Runner::run`](crate::Runner::run) over the same arguments
+/// computes what it addresses.
 ///
-/// The configuration is embedded via its derived `Debug` encoding, which
-/// names every field in declaration order — adding a field to
-/// [`SystemConfig`] automatically extends the key, so a configuration
-/// change can never silently alias an older cache entry.
+/// `None` keys a full [`run_one`](crate::run_one) under `cfg`
+/// (`job-v1|…`). `Some(d)` keys a checkpointed sweep point, the
+/// [`sweep_prefix`] of `cfg` then the tail under `d` (`sweep-v1|<job-v1
+/// key of the base>|prefix=N|delta=…`), which never aliases a full run
+/// under the delta'd cfg. The cfg enters via its derived `Debug`, which
+/// names every field, so a new [`SystemConfig`] field extends every key.
 pub fn job_key(
     workload: Workload,
     scheme: SchemeKind,
     cfg: &SystemConfig,
     params: &WorkloadParams,
+    delta: Option<&CfgDelta>,
 ) -> String {
+    let Some(delta) = delta else {
+        return format!(
+            "job-v1|{}|{}|refs={}|seed={}|{cfg:?}",
+            workload.label(),
+            scheme.label(),
+            params.refs_per_core,
+            params.seed,
+        );
+    };
+    let (base, prefix) = sweep_prefix(cfg, params);
     format!(
-        "job-v1|{}|{}|refs={}|seed={}|{cfg:?}",
-        workload.label(),
-        scheme.label(),
-        params.refs_per_core,
-        params.seed,
+        "sweep-v1|{}|prefix={prefix}|delta={delta:?}",
+        job_key(workload, scheme, &base, params, None)
     )
 }
 
-/// Canonical content address of a warmed checkpoint: the prefix run's
-/// [`job_key`] (over the *base* configuration, before any [`CfgDelta`])
-/// plus the prefix length in total processed references. Runs are
-/// deterministic, so a checkpoint is a pure function of these inputs and
-/// can be cached and forked by any consumer — the figure harness's sweep
-/// path and the serve daemon's `whatif` requests address identical
-/// prefixes identically.
-///
-/// [`CfgDelta`]: crate::CfgDelta
-pub fn checkpoint_key(
+/// Where a sweep point over `cfg` forks: `cfg` with the
+/// [`SWEEP_WARMUP_FRACTION`] warm-up, and that warm-up boundary in total
+/// processed references (the simulator's own expression).
+pub fn sweep_prefix(cfg: &SystemConfig, params: &WorkloadParams) -> (SystemConfig, u64) {
+    let mut base = cfg.clone();
+    base.warmup_fraction = SWEEP_WARMUP_FRACTION;
+    let total = params.refs_per_core * base.total_cores() as u64;
+    let prefix = (base.warmup_fraction * total as f64) as u64;
+    (base, prefix)
+}
+
+/// Content address of the warmed prefix a [`Runner`](crate::Runner) forks.
+pub(crate) fn checkpoint_key(
     workload: Workload,
     scheme: SchemeKind,
-    cfg: &SystemConfig,
+    base: &SystemConfig,
     params: &WorkloadParams,
     prefix_refs: u64,
 ) -> String {
     format!(
         "ckpt-v1|{}|prefix={prefix_refs}",
-        job_key(workload, scheme, cfg, params)
+        job_key(workload, scheme, base, params, None)
     )
 }
 
@@ -81,16 +101,6 @@ pub fn fingerprint64(key: &str) -> u64 {
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
-}
-
-/// [`fingerprint64`] of the canonical [`job_key`].
-pub fn job_fingerprint(
-    workload: Workload,
-    scheme: SchemeKind,
-    cfg: &SystemConfig,
-    params: &WorkloadParams,
-) -> u64 {
-    fingerprint64(&job_key(workload, scheme, cfg, params))
 }
 
 /// A cache slot: either a finished value or a claim by the worker
@@ -388,30 +398,79 @@ mod tests {
             refs_per_core: 1_000,
             seed: 7,
         };
-        let base = job_key(Workload::Bfs, SchemeKind::Pipm, &cfg, &params);
+        let key = |scheme, cfg: &SystemConfig, params: &WorkloadParams| {
+            job_key(Workload::Bfs, scheme, cfg, params, None)
+        };
+        let base = key(SchemeKind::Pipm, &cfg, &params);
         assert!(base.contains("BFS") && base.contains("PIPM"));
         let other_seed = WorkloadParams {
             refs_per_core: 1_000,
             seed: 8,
         };
-        assert_ne!(
-            base,
-            job_key(Workload::Bfs, SchemeKind::Pipm, &cfg, &other_seed)
-        );
+        assert_ne!(base, key(SchemeKind::Pipm, &cfg, &other_seed));
         let mut cfg2 = cfg.clone();
         cfg2.cxl.link_latency_ns = 100.0;
-        assert_ne!(
-            base,
-            job_key(Workload::Bfs, SchemeKind::Pipm, &cfg2, &params)
-        );
-        assert_ne!(
-            base,
-            job_key(Workload::Bfs, SchemeKind::Native, &cfg, &params)
-        );
+        assert_ne!(base, key(SchemeKind::Pipm, &cfg2, &params));
+        assert_ne!(base, key(SchemeKind::Native, &cfg, &params));
         // The digest follows the key.
         assert_ne!(
-            job_fingerprint(Workload::Bfs, SchemeKind::Pipm, &cfg, &params),
-            job_fingerprint(Workload::Bfs, SchemeKind::Pipm, &cfg2, &params),
+            fingerprint64(&base),
+            fingerprint64(&key(SchemeKind::Pipm, &cfg2, &params))
+        );
+    }
+
+    /// The sweep key is the `sweep-v1` wrapper around the plain key of
+    /// the [`sweep_prefix`] base, exactly as every earlier consumer
+    /// formatted it, so disk-cache entries and wire fingerprints written
+    /// before the key moved here still hit.
+    #[test]
+    fn sweep_key_wraps_the_base_key_and_never_aliases_a_full_run() {
+        let cfg = SystemConfig::experiment_scale();
+        let params = WorkloadParams {
+            refs_per_core: 1_500,
+            seed: 41,
+        };
+        let delta = CfgDelta {
+            link_latency_ns: Some(100.0),
+            ..CfgDelta::default()
+        };
+        let mut base = cfg.clone();
+        base.warmup_fraction = SWEEP_WARMUP_FRACTION;
+        let prefix = (base.warmup_fraction * (1_500 * base.total_cores() as u64) as f64) as u64;
+        assert_eq!(sweep_prefix(&cfg, &params), (base.clone(), prefix));
+        let plain = job_key(Workload::Bfs, SchemeKind::Pipm, &base, &params, None);
+        assert_eq!(
+            job_key(Workload::Bfs, SchemeKind::Pipm, &cfg, &params, Some(&delta)),
+            format!("sweep-v1|{plain}|prefix={prefix}|delta={delta:?}")
+        );
+        assert_eq!(
+            checkpoint_key(Workload::Bfs, SchemeKind::Pipm, &base, &params, prefix),
+            format!("ckpt-v1|{plain}|prefix={prefix}")
+        );
+        // The caller's warm-up window does not leak into the sweep key.
+        let mut other_warmup = cfg.clone();
+        other_warmup.warmup_fraction = 0.1;
+        assert_eq!(
+            job_key(Workload::Bfs, SchemeKind::Pipm, &cfg, &params, Some(&delta)),
+            job_key(
+                Workload::Bfs,
+                SchemeKind::Pipm,
+                &other_warmup,
+                &params,
+                Some(&delta)
+            )
+        );
+        let mut delta_applied = base;
+        delta.apply_to(&mut delta_applied);
+        assert_ne!(
+            job_key(Workload::Bfs, SchemeKind::Pipm, &cfg, &params, Some(&delta)),
+            job_key(
+                Workload::Bfs,
+                SchemeKind::Pipm,
+                &delta_applied,
+                &params,
+                None
+            )
         );
     }
 

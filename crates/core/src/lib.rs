@@ -17,7 +17,10 @@
 //!   timing simulator implementing Native CXL-DSM, four kernel-migration
 //!   baselines (Nomad, Memtis, HeMem, OS-skew), HW-static (Intel Flat
 //!   Mode analogue), PIPM itself, and the Local-only upper bound;
-//! * [`run_one`] / [`run_schemes`] — one-call experiment runners.
+//! * [`run_one`] / [`run_schemes`] — one-call experiment runners;
+//! * [`job_key`] and [`Runner`] — the content address of a job (a full
+//!   run or a checkpointed sweep point) and the one path that computes
+//!   it, shared by the figure harness and the `pipm-serve` daemon.
 //!
 //! The pure PIPM coherence protocol specification (states ME and I′,
 //! transition cases ①–⑥) lives in [`pipm_coherence::proto`] and is
@@ -48,16 +51,18 @@ pub mod remap;
 mod runner;
 mod system;
 
-pub use cache::{checkpoint_key, fingerprint64, job_fingerprint, job_key, RunCache, RunCacheStats};
+pub use cache::{
+    fingerprint64, job_key, sweep_prefix, RunCache, RunCacheStats, SWEEP_WARMUP_FRACTION,
+};
 pub use harm::HarmTracker;
 pub use hints::MigrationHints;
 pub use oracle::OracleViolation;
 pub use remap::{GlobalEntry, GlobalRemap, LocalEntry, LocalRemap, LookupResult};
 pub use runner::{
     effective_workers, par_map, resume_one, run_one, run_one_with_delta, run_prefix_one,
-    run_schemes, run_spec_one, RunResult, SpecRunResult,
+    run_schemes, run_spec_one, RunResult, Runner, RunnerStats, SpecRunResult,
 };
-pub use system::{CfgDelta, Checkpoint, HarnessReport, System, SWEEP_WARMUP_FRACTION};
+pub use system::{CfgDelta, Checkpoint, HarnessReport, System};
 
 #[cfg(test)]
 mod tests {

@@ -1,8 +1,12 @@
-//! High-level experiment runner: one call per (workload, scheme) pair.
+//! High-level experiment runners: one call per (workload, scheme) pair,
+//! and the [`Runner`] every consumer computes jobs through.
 
+use crate::cache::{checkpoint_key, sweep_prefix, RunCache, RunCacheStats};
 use crate::system::{CfgDelta, Checkpoint, HarnessReport, System};
 use pipm_types::{SchemeKind, SystemConfig, SystemStats};
 use pipm_workloads::{FuzzSpec, Workload, WorkloadParams};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 /// The outcome of one simulation run.
 #[derive(Clone, Debug)]
@@ -137,6 +141,88 @@ pub fn run_one_with_delta(
         scheme,
         stats,
         cfg,
+    }
+}
+
+/// The one compute path of the figure harness and the `pipm-serve`
+/// daemon: [`Runner::run`] returns the run that
+/// [`job_key`](crate::job_key) over the same arguments addresses.
+///
+/// A sweep point's warmed prefix ([`sweep_prefix`]) is simulated once
+/// and kept in a bounded cache (each entry is a deep-copied `System`);
+/// every point forks it (cloning a [`Checkpoint`] *is* the fork) and
+/// simulates only its tail under its delta. Concurrent requests for one
+/// prefix deduplicate. The result is bit-identical to the unforked
+/// [`run_one_with_delta`] at the same boundary (`tests/checkpoint.rs`).
+pub struct Runner {
+    checkpoints: RunCache<Checkpoint>,
+    forks: AtomicU64,
+    prefix_wall_nanos: AtomicU64,
+}
+
+/// Counter snapshot of a [`Runner`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RunnerStats {
+    /// Warmed sweep prefixes simulated (checkpoint-cache misses).
+    pub prefixes: u64,
+    /// Sweep points resumed from a fork of a warmed checkpoint.
+    pub forks: u64,
+    /// Wall nanoseconds spent simulating prefixes.
+    pub prefix_wall_nanos: u64,
+    /// The checkpoint cache's own counters.
+    pub checkpoints: RunCacheStats,
+    /// Checkpoints currently held.
+    pub checkpoint_entries: usize,
+}
+
+impl Runner {
+    /// A runner keeping at most `checkpoint_capacity` warmed prefixes
+    /// (least-recently-used evicted first).
+    pub fn new(checkpoint_capacity: usize) -> Self {
+        Runner {
+            checkpoints: RunCache::new(checkpoint_capacity),
+            forks: AtomicU64::new(0),
+            prefix_wall_nanos: AtomicU64::new(0),
+        }
+    }
+
+    /// Runs the job [`job_key`](crate::job_key) addresses with the same
+    /// arguments: [`run_one`] without a delta, else a fork of the warmed
+    /// prefix resumed under the delta.
+    pub fn run(
+        &self,
+        workload: Workload,
+        scheme: SchemeKind,
+        cfg: &SystemConfig,
+        params: &WorkloadParams,
+        delta: Option<&CfgDelta>,
+    ) -> RunResult {
+        let Some(delta) = delta else {
+            return run_one(workload, scheme, cfg.clone(), params);
+        };
+        let (base, prefix) = sweep_prefix(cfg, params);
+        let key = checkpoint_key(workload, scheme, &base, params, prefix);
+        let checkpoint = self.checkpoints.get_or_compute(&key, || {
+            let started = Instant::now();
+            let checkpoint = run_prefix_one(workload, scheme, base, params, prefix);
+            self.prefix_wall_nanos
+                .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            checkpoint
+        });
+        self.forks.fetch_add(1, Ordering::Relaxed);
+        resume_one(workload, scheme, checkpoint, delta)
+    }
+
+    /// Counter snapshot.
+    pub fn stats(&self) -> RunnerStats {
+        let checkpoints = self.checkpoints.stats();
+        RunnerStats {
+            prefixes: checkpoints.misses,
+            forks: self.forks.load(Ordering::Relaxed),
+            prefix_wall_nanos: self.prefix_wall_nanos.load(Ordering::Relaxed),
+            checkpoints,
+            checkpoint_entries: self.checkpoints.len(),
+        }
     }
 }
 

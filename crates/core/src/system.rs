@@ -2174,14 +2174,6 @@ impl RunState {
     }
 }
 
-/// The conventional warm-up fraction for checkpointed parameter sweeps:
-/// the shared prefix covers the first two thirds of the trace, so the
-/// checkpoint taken at the warm-up boundary leaves the entire measured
-/// window (the final third) to run under each point's [`CfgDelta`]. Both
-/// the benchmark harness (`pipm-bench`) and the daemon's `whatif` request
-/// (`pipm-serve`) use this split so their checkpoint keys coincide.
-pub const SWEEP_WARMUP_FRACTION: f64 = 2.0 / 3.0;
-
 /// A late-binding configuration delta for checkpointed sweeps: the
 /// parameters a forked [`Checkpoint`] may change before resuming. Each
 /// field overrides the corresponding [`SystemConfig`] entry when `Some`.

@@ -1,14 +1,15 @@
 //! Simulation-as-a-service for the PIPM simulator.
 //!
-//! `pipm-serve` wraps the deterministic [`run_one`](pipm_core::run_one)
-//! simulation in a long-running TCP daemon speaking a newline-delimited
-//! JSON protocol ([`proto`]), backed by a shared content-addressed
-//! [`RunCache`](pipm_core::RunCache):
+//! `pipm-serve` wraps the deterministic simulator, through the same
+//! [`Runner`](pipm_core::Runner) and [`job_key`](pipm_core::job_key) the
+//! figure harness uses, in a long-running TCP daemon speaking a
+//! newline-delimited JSON protocol ([`proto`]), backed by a shared
+//! content-addressed [`RunCache`](pipm_core::RunCache):
 //!
-//! - **Daemon** ([`server::Server`]): accepts `submit` batches, `status`,
-//!   `metrics`, and `shutdown` requests over TCP. The front end
-//!   is a non-blocking readiness loop ([`reactor`]) that blocks in
-//!   `poll(2)` — one thread multiplexes every connection, with
+//! - **Daemon** ([`server::Server`]): accepts `submit` and `whatif`
+//!   batches, `status`, `metrics`, and `shutdown` requests over TCP.
+//!   The front end is a non-blocking readiness loop ([`reactor`]) that
+//!   blocks in `poll(2)` — one thread multiplexes every connection, with
 //!   per-connection deadlines and output back-pressure, a bounded
 //!   connection count, and structured `overloaded` shedding.
 //!   Batches that are all run-cache hits are answered on the reactor

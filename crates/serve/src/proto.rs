@@ -13,15 +13,15 @@
 //! ```
 //!
 //! `whatif` is the checkpointed-sweep form of `submit`: each job names a
-//! base configuration (same fields as `submit`, with `warmup_fraction`
-//! pinned to [`pipm_core::SWEEP_WARMUP_FRACTION`]) plus a required
-//! `delta` object restricted to the late-binding [`CfgDelta`] keys
-//! ([`DELTA_KEYS`]). The daemon simulates the shared warmed prefix once
-//! per base — cached as a [`Checkpoint`](pipm_core::Checkpoint) keyed by
-//! [`pipm_core::checkpoint_key`] — and only the measured tail per delta,
-//! so a K-point sweep against one base costs O(prefix + K·tail) instead
-//! of O(K·run). Results are byte-identical to the equivalent unforked
-//! full run under the same split.
+//! base configuration (same fields as `submit`) plus a required `delta`
+//! object restricted to the late-binding [`CfgDelta`] keys
+//! ([`DELTA_KEYS`]), parsed into [`Job::delta`]. A job is keyed by
+//! [`job_key`] and computed by [`pipm_core::Runner::run`] over the same
+//! arguments, exactly as the figure harness keys and computes its
+//! points: the shared warmed prefix is simulated once per base and only
+//! the measured tail per delta, so a K-point sweep against one base
+//! costs O(prefix + K·tail) instead of O(K·run). Results are
+//! byte-identical to the equivalent unforked run under the same split.
 //!
 //! Responses are single-line JSON objects with an `ok` field. Failures
 //! are *structured*: `{"ok":false,"error":{"kind":...,"detail":...}}`
@@ -33,9 +33,7 @@
 //! deterministic, and field order is fixed).
 
 use crate::json::Json;
-use pipm_core::{
-    checkpoint_key, fingerprint64, job_key, CfgDelta, RunResult, SWEEP_WARMUP_FRACTION,
-};
+use pipm_core::{fingerprint64, job_key, CfgDelta, RunResult};
 use pipm_types::{AccessClass, SchemeKind, SystemConfig};
 use pipm_workloads::{Workload, WorkloadParams};
 
@@ -62,7 +60,8 @@ pub mod kind {
 }
 
 /// One fully-resolved, validated job: the argument set of a
-/// [`run_one`](pipm_core::run_one) call plus its canonical cache key.
+/// [`Runner::run`](pipm_core::Runner::run) call plus its canonical cache
+/// key.
 #[derive(Clone, Debug)]
 pub struct Job {
     /// Workload to simulate.
@@ -73,32 +72,16 @@ pub struct Job {
     pub cfg: SystemConfig,
     /// Per-run parameters.
     pub params: WorkloadParams,
-    /// Canonical content address: [`job_key`] for a plain `submit` job,
-    /// or the `sweep-v1|…` namespaced key for a `whatif` job (a prefix
-    /// under the base cfg plus a tail under the delta is *not* the same
-    /// run as a full simulation under the delta'd cfg, so the two
-    /// namespaces must never alias).
+    /// Canonical content address: [`job_key`] over the fields above and
+    /// `delta`.
     pub key: String,
-    /// `Some` for a `whatif` job: resume a forked checkpoint under a
-    /// [`CfgDelta`] instead of running from scratch.
-    pub whatif: Option<WhatifSpec>,
+    /// `Some` for a `whatif` job: the late-binding overrides its measured
+    /// tail runs under, resumed from a fork of the warmed prefix.
+    pub delta: Option<CfgDelta>,
     /// The client's job object re-encoded verbatim, so a router can
     /// forward the job to its ring owner without lossy re-synthesis
     /// (the owner re-parses it and derives the identical `key`).
     pub raw: String,
-}
-
-/// The checkpointed-sweep part of a `whatif` [`Job`].
-#[derive(Clone, Debug)]
-pub struct WhatifSpec {
-    /// Late-binding overrides applied to the forked checkpoint.
-    pub delta: CfgDelta,
-    /// Fork point, in delivered references (the warm-up boundary).
-    pub prefix_refs: u64,
-    /// Content address of the shared warmed prefix
-    /// ([`checkpoint_key`]): jobs with the same base share one prefix
-    /// simulation.
-    pub ckpt_key: String,
 }
 
 /// A parsed request.
@@ -234,17 +217,16 @@ fn parse_batch(root: &Json, limits: &RequestLimits, whatif: bool) -> Result<Vec<
     }
     jobs.iter()
         .enumerate()
-        .map(|(i, j)| {
-            let mut job = parse_job(i, j, limits)?;
-            if whatif {
-                attach_whatif(&mut job, i, j)?;
-            }
-            Ok(job)
-        })
+        .map(|(i, j)| parse_job(i, j, limits, whatif))
         .collect()
 }
 
-fn parse_job(index: usize, job: &Json, limits: &RequestLimits) -> Result<Job, ProtoError> {
+fn parse_job(
+    index: usize,
+    job: &Json,
+    limits: &RequestLimits,
+    whatif: bool,
+) -> Result<Job, ProtoError> {
     if job.as_obj().is_none() {
         return Err(ProtoError::new(
             kind::MALFORMED,
@@ -326,22 +308,25 @@ fn parse_job(index: usize, job: &Json, limits: &RequestLimits) -> Result<Job, Pr
         refs_per_core,
         seed,
     };
-    let key = job_key(workload, scheme, &cfg, &params);
+    let delta = if whatif {
+        Some(parse_delta(index, job, &cfg)?)
+    } else {
+        None
+    };
+    let key = job_key(workload, scheme, &cfg, &params, delta.as_ref());
     Ok(Job {
         workload,
         scheme,
         cfg,
         params,
         key,
-        whatif: None,
+        delta,
         raw: job.encode(),
     })
 }
 
-/// Upgrades a parsed `submit`-shaped job into a `whatif` job: pins the
-/// sweep warm-up split, parses and validates the required `delta`
-/// object, and rewrites the cache key into the `sweep-v1|` namespace.
-fn attach_whatif(job: &mut Job, index: usize, raw: &Json) -> Result<(), ProtoError> {
+/// Parses and validates the `delta` object a `whatif` job requires.
+fn parse_delta(index: usize, raw: &Json, cfg: &SystemConfig) -> Result<CfgDelta, ProtoError> {
     let delta_json = raw.get("delta").ok_or_else(|| {
         ProtoError::new(
             kind::BAD_REQUEST,
@@ -356,11 +341,10 @@ fn attach_whatif(job: &mut Job, index: usize, raw: &Json) -> Result<(), ProtoErr
     })?;
     let mut delta = CfgDelta::default();
     for (key, value) in fields {
-        apply_delta_override(&job.cfg, &mut delta, key, value)
+        apply_delta_override(cfg, &mut delta, key, value)
             .map_err(|e| ProtoError::new(e.kind, format!("job #{index}: {}", e.detail)))?;
     }
-    job.cfg.warmup_fraction = SWEEP_WARMUP_FRACTION;
-    let mut tail_cfg = job.cfg.clone();
+    let mut tail_cfg = cfg.clone();
     delta.apply_to(&mut tail_cfg);
     tail_cfg.validate().map_err(|e| {
         ProtoError::new(
@@ -368,18 +352,7 @@ fn attach_whatif(job: &mut Job, index: usize, raw: &Json) -> Result<(), ProtoErr
             format!("job #{index}: invalid delta'd cfg: {e}"),
         )
     })?;
-    let prefix_refs = (job.cfg.warmup_fraction
-        * (job.params.refs_per_core * job.cfg.total_cores() as u64) as f64)
-        as u64;
-    let base_key = job_key(job.workload, job.scheme, &job.cfg, &job.params);
-    let ckpt_key = checkpoint_key(job.workload, job.scheme, &job.cfg, &job.params, prefix_refs);
-    job.key = format!("sweep-v1|{base_key}|prefix={prefix_refs}|delta={delta:?}");
-    job.whatif = Some(WhatifSpec {
-        delta,
-        prefix_refs,
-        ckpt_key,
-    });
-    Ok(())
+    Ok(delta)
 }
 
 /// The `cfg` override keys `submit` accepts, with their targets.
@@ -703,7 +676,7 @@ mod tests {
 
     #[test]
     fn error_kinds_are_structured() {
-        let cases: [(&str, &str); 9] = [
+        let cases: [(&str, &str); 11] = [
             ("{nope", kind::MALFORMED),
             (r#"{"cmd":"dance"}"#, kind::MALFORMED),
             // Nodes never push results to each other: no `fill` command.
@@ -732,6 +705,16 @@ mod tests {
                 r#"{"cmd":"submit","jobs":[{"workload":"bfs","scheme":"pipm","cfg":{"hosts":0}}]}"#,
                 kind::BAD_REQUEST,
             ),
+            // Core indices are 8 bits wide; a huge count would also
+            // abort the daemon allocating per-core state.
+            (
+                r#"{"cmd":"submit","jobs":[{"workload":"bfs","scheme":"pipm","cfg":{"cores_per_host":257}}]}"#,
+                kind::BAD_REQUEST,
+            ),
+            (
+                r#"{"cmd":"submit","jobs":[{"workload":"bfs","scheme":"pipm","cfg":{"cores_per_host":100000000000}}]}"#,
+                kind::BAD_REQUEST,
+            ),
         ];
         for (line, want) in cases {
             let err = parse_request(line, &limits()).unwrap_err();
@@ -758,21 +741,26 @@ mod tests {
             panic!("expected submit")
         };
         let job = &jobs[0];
-        let w = job.whatif.as_ref().expect("whatif spec");
-        assert_eq!(w.delta.link_latency_ns, Some(100.0));
-        assert_eq!(w.delta.migration_threshold, Some(4));
-        assert_eq!(w.delta.link_gbps, None);
-        assert!((job.cfg.warmup_fraction - SWEEP_WARMUP_FRACTION).abs() < 1e-12);
+        let delta = job.delta.as_ref().expect("whatif delta");
+        assert_eq!(delta.link_latency_ns, Some(100.0));
+        assert_eq!(delta.migration_threshold, Some(4));
+        assert_eq!(delta.link_gbps, None);
         // The base cfg is untouched by the delta (it binds at resume).
-        assert_ne!(job.cfg.cxl.link_latency_ns, 100.0);
-        // Keys live in their own namespaces and embed the fork point.
-        let expect_prefix = (job.cfg.warmup_fraction
-            * (job.params.refs_per_core * job.cfg.total_cores() as u64) as f64)
-            as u64;
-        assert_eq!(w.prefix_refs, expect_prefix);
+        assert_eq!(job.cfg, SystemConfig::experiment_scale());
+        // The key is the sweep address of the base and the delta, in its
+        // own namespace and embedding the fork point.
+        assert_eq!(
+            job.key,
+            job_key(
+                Workload::Bfs,
+                SchemeKind::Pipm,
+                &job.cfg,
+                &job.params,
+                Some(delta)
+            )
+        );
         assert!(job.key.starts_with("sweep-v1|"));
-        assert!(job.key.contains(&format!("prefix={expect_prefix}")));
-        assert!(w.ckpt_key.starts_with("ckpt-v1|"));
+        assert!(job.key.contains("|prefix="));
         // A plain submit of the same job must never share the key.
         let plain = parse_request(
             r#"{"cmd":"submit","jobs":[{"workload":"bfs","scheme":"pipm"}]}"#,
@@ -842,7 +830,7 @@ mod tests {
             SystemConfig::experiment_scale(),
             &params,
         );
-        let key = job_key(r.workload, r.scheme, &r.cfg, &params);
+        let key = job_key(r.workload, r.scheme, &r.cfg, &params, None);
         let value = encode_result(&r, &params, &key);
         let by_value = encode_batch(std::slice::from_ref(&value));
         let by_splice = encode_batch_raw(std::slice::from_ref(&value.encode()));
@@ -870,7 +858,7 @@ mod tests {
             SystemConfig::experiment_scale(),
             &params,
         );
-        let key = job_key(r.workload, r.scheme, &r.cfg, &params);
+        let key = job_key(r.workload, r.scheme, &r.cfg, &params, None);
         let a = encode_result(&r, &params, &key).encode();
         let b = encode_result(&r, &params, &key).encode();
         assert_eq!(a, b);

@@ -227,7 +227,7 @@ impl RouterState {
     /// One forward: a fresh connection, a single-job request line, one
     /// response line, and a raw byte splice of the result object.
     fn forward(&self, addr: &str, job: &Job) -> Result<String, ForwardError> {
-        let cmd = if job.whatif.is_some() {
+        let cmd = if job.delta.is_some() {
             "whatif"
         } else {
             "submit"
@@ -339,6 +339,22 @@ fn request_once(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pipm_core::job_key;
+    use pipm_types::{SchemeKind, SystemConfig};
+    use pipm_workloads::{Workload, WorkloadParams};
+
+    /// Real content addresses: long strings that differ in a few
+    /// characters, the case a ring hash must still spread.
+    fn keys(n: u64) -> impl Iterator<Item = String> {
+        let cfg = SystemConfig::experiment_scale();
+        (0..n).map(move |seed| {
+            let params = WorkloadParams {
+                refs_per_core: 20_000,
+                seed,
+            };
+            job_key(Workload::Bfs, SchemeKind::Pipm, &cfg, &params, None)
+        })
+    }
 
     fn ring3() -> HashRing {
         HashRing::new(vec![
@@ -352,8 +368,7 @@ mod tests {
     fn ring_is_deterministic_and_total() {
         let a = ring3();
         let b = ring3();
-        for i in 0..500 {
-            let key = format!("job-v1|BFS|PIPM|refs={i}|seed=41");
+        for key in keys(500) {
             let owner = a.owner(&key);
             assert_eq!(owner, b.owner(&key), "ring must be deterministic");
             assert!(owner < 3);
@@ -364,8 +379,8 @@ mod tests {
     fn ring_spreads_keys_across_all_nodes() {
         let ring = ring3();
         let mut counts = [0usize; 3];
-        for i in 0..3000 {
-            counts[ring.owner(&format!("job-v1|key-{i}"))] += 1;
+        for key in keys(3000) {
+            counts[ring.owner(&key)] += 1;
         }
         for (i, c) in counts.iter().enumerate() {
             // Fairness within a loose band: each node owns 1/3 ± 2/3.
@@ -384,9 +399,7 @@ mod tests {
             "10.0.0.2:7457".to_string(),
         ]);
         let mut moved = 0;
-        let total = 2000;
-        for i in 0..total {
-            let key = format!("job-v1|key-{i}");
+        for key in keys(2000) {
             let before = full.owner(&key);
             let after = reduced.owner(&key);
             if before < 2 {

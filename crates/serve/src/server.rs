@@ -4,7 +4,7 @@
 //! ```text
 //!  reactor (one thread, N conns) ──parse──▶ admission queue ──▶ workers
 //!        ▲     │ all hits?                        │ full?           │
-//!        │     └─▶ RunCache::get_all              │        run_one, or
+//!        │     └─▶ RunCache::get_all              │     Runner::run, or
 //!        └──── response / structured error ◀──────┘        forward to
 //!                                                          ring owner
 //! ```
@@ -25,7 +25,10 @@
 //!
 //! The run cache stores **canonical encoded result strings**, not
 //! parsed values: a hit and a fresh compute serve the exact same bytes,
-//! which is what makes cross-node responses byte-identical. With
+//! which is what makes cross-node responses byte-identical. Workers
+//! compute through one [`pipm_core::Runner`], the same compute path the
+//! figure harness uses: a `submit` job is a plain run, and a `whatif`
+//! job forks the runner's warmed checkpoint for its base. With
 //! `route_nodes` set the daemon is a *router*: jobs forward to their
 //! [`HashRing`](crate::router::HashRing) owner, falling back to local
 //! compute, and the router's own run cache answers repeats. `shutdown`
@@ -37,7 +40,7 @@ use crate::json::Json;
 use crate::proto::{self, encode_batch_raw, encode_result, kind, Job, ProtoError, Request};
 use crate::reactor::{self, JobSlot, LineOutcome, ReactorConfig, RequestSink, Waker};
 use crate::router::{RouterConfig, RouterState};
-use pipm_core::{resume_one, run_one, run_prefix_one, Checkpoint, RunCache};
+use pipm_core::{RunCache, Runner};
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -136,11 +139,10 @@ struct Shared {
     /// the bytes (not the parsed value) is what guarantees a hit and a
     /// fresh compute are byte-identical on the wire.
     cache: RunCache<String>,
-    // Warmed prefixes for `whatif` jobs; cloning an entry out *is* the
-    // fork operation (Checkpoint::clone re-creates every stream at its
-    // exact generator position). Checkpoints are node-local: only the
-    // (small) encoded results travel between router and node.
-    ckpt_cache: RunCache<Checkpoint>,
+    /// Computes every miss; holds the warmed prefixes of `whatif` jobs.
+    /// Checkpoints are node-local: only the (small) encoded results
+    /// travel between router and node.
+    runner: Runner,
     queue: Mutex<VecDeque<QueuedJob>>,
     queue_cv: Condvar,
     /// Set (under `queue`'s lock) by [`Shared::begin_shutdown`] only.
@@ -241,25 +243,13 @@ impl Shared {
     /// compute path for worker nodes, and the router's fallback when a
     /// job's ring owner is unreachable.
     fn compute_local(&self, job: &Job) -> String {
-        let result = match &job.whatif {
-            None => run_one(job.workload, job.scheme, job.cfg.clone(), &job.params),
-            // A whatif job reruns only the tail: the warmed prefix is
-            // computed once per base (dedup'd across workers by the
-            // checkpoint cache) and forked by cloning the cached entry
-            // out.
-            Some(w) => {
-                let ckpt = self.ckpt_cache.get_or_compute(&w.ckpt_key, || {
-                    run_prefix_one(
-                        job.workload,
-                        job.scheme,
-                        job.cfg.clone(),
-                        &job.params,
-                        w.prefix_refs,
-                    )
-                });
-                resume_one(job.workload, job.scheme, ckpt, &w.delta)
-            }
-        };
+        let result = self.runner.run(
+            job.workload,
+            job.scheme,
+            &job.cfg,
+            &job.params,
+            job.delta.as_ref(),
+        );
         encode_result(&result, &job.params, &job.key).encode()
     }
 
@@ -318,7 +308,8 @@ impl Shared {
 
     fn metrics_response(&self) -> String {
         let cache = self.cache.stats();
-        let ckpt = self.ckpt_cache.stats();
+        let runner = self.runner.stats();
+        let ckpt = runner.checkpoints;
         let queue_depth = self.queue.lock().unwrap().len() as u64;
         let c = &self.counters;
         let get = |a: &AtomicU64| Json::UInt(a.load(Ordering::Relaxed));
@@ -367,7 +358,7 @@ impl Shared {
             ("cache_evictions".into(), Json::UInt(cache.evictions)),
             (
                 "ckpt_cache_entries".into(),
-                Json::UInt(self.ckpt_cache.len() as u64),
+                Json::UInt(runner.checkpoint_entries as u64),
             ),
             ("ckpt_cache_hits".into(), Json::UInt(ckpt.hits)),
             ("ckpt_cache_misses".into(), Json::UInt(ckpt.misses)),
@@ -543,7 +534,7 @@ impl Server {
         let shared = Arc::new(Shared {
             cfg,
             cache: RunCache::new(cache_capacity),
-            ckpt_cache: RunCache::new(ckpt_cache_capacity),
+            runner: Runner::new(ckpt_cache_capacity),
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             shutdown: Arc::new(AtomicBool::new(false)),

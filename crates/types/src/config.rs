@@ -340,8 +340,12 @@ impl SystemConfig {
         if self.hosts == 0 || self.hosts > crate::HostId::MAX_HOSTS {
             return Err(format!("hosts must be in 1..=32, got {}", self.hosts));
         }
-        if self.cores_per_host == 0 {
-            return Err("cores_per_host must be nonzero".into());
+        if self.cores_per_host == 0 || self.cores_per_host > crate::CoreId::MAX_CORES_PER_HOST {
+            return Err(format!(
+                "cores_per_host must be in 1..={}, got {}",
+                crate::CoreId::MAX_CORES_PER_HOST,
+                self.cores_per_host
+            ));
         }
         if self.shared_bytes == 0 {
             return Err("shared_bytes must be nonzero".into());
@@ -443,6 +447,18 @@ mod tests {
         assert!(cfg.validate().is_err());
         let cfg = SystemConfig {
             warmup_fraction: 1.5,
+            ..SystemConfig::default()
+        };
+        assert!(cfg.validate().is_err());
+        // Core indices are 8 bits wide: 256 cores per host fit, 257 would
+        // alias core 0.
+        let cfg = SystemConfig {
+            cores_per_host: 256,
+            ..SystemConfig::default()
+        };
+        cfg.validate().unwrap();
+        let cfg = SystemConfig {
+            cores_per_host: 257,
             ..SystemConfig::default()
         };
         assert!(cfg.validate().is_err());

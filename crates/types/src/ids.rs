@@ -52,8 +52,20 @@ pub struct CoreId {
 }
 
 impl CoreId {
+    /// Maximum number of cores per host representable (the in-host core
+    /// index is a `u8`).
+    pub const MAX_CORES_PER_HOST: usize = 256;
+
     /// Creates a core ID.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core >= 256`: a wider index would alias a lower core.
     pub fn new(host: HostId, core: usize) -> Self {
+        assert!(
+            core < Self::MAX_CORES_PER_HOST,
+            "core index {core} exceeds 8-bit encoding"
+        );
         CoreId {
             host,
             core: core as u8,
@@ -208,5 +220,12 @@ mod tests {
         let c = CoreId::new(HostId::new(2), 3);
         assert_eq!(c.flat(4), 11);
         assert_eq!(format!("{c}"), "H2C3");
+        assert_eq!(CoreId::new(HostId::new(0), 255).core, 255);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 8-bit encoding")]
+    fn core_id_rejects_an_index_that_would_alias() {
+        CoreId::new(HostId::new(0), 256);
     }
 }

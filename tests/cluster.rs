@@ -142,7 +142,7 @@ fn direct_response(workload: Workload, scheme: SchemeKind, refs: u64, seed: u64)
     };
     let cfg = SystemConfig::experiment_scale();
     let result = run_one(workload, scheme, cfg.clone(), &params);
-    let key = job_key(workload, scheme, &cfg, &params);
+    let key = job_key(workload, scheme, &cfg, &params, None);
     format!(
         r#"{{"ok":true,"results":[{}]}}"#,
         encode_result(&result, &params, &key).encode()
@@ -225,7 +225,13 @@ fn node_kill_degrades_to_local_fallback_with_correct_bytes() {
                 refs_per_core: REFS,
                 seed: *seed,
             };
-            ring.owner(&job_key(Workload::Bfs, SchemeKind::Pipm, &cfg, &params)) == 0
+            ring.owner(&job_key(
+                Workload::Bfs,
+                SchemeKind::Pipm,
+                &cfg,
+                &params,
+                None,
+            )) == 0
         })
         .expect("some seed must hash to node 0");
 

@@ -10,7 +10,7 @@
 //! | `checkpoint` | checkpointed incremental sweeps: prefix + forked resume under a `CfgDelta` is bit-identical to the unforked run for every scheme, forks are independent, and the warm-up window clamps to delivered references |
 //! | `scaling` | behaviour as hosts/cores/footprint scale |
 //! | `fuzz_harness` | differential correctness harness: seeded + property-based fuzz traces across all schemes under the functional oracle and inline SWMR/directory/remap invariants, plus the `pipm-mcheck` reachability cross-check |
-//! | `serve` | `pipm-serve` daemon over loopback TCP: byte-identical cold/warm/direct responses, run-cache dedup of concurrent identical jobs, `whatif` checkpointed sweeps (byte-identical to a direct prefix+resume, one shared prefix per base config, fingerprints never alias plain runs), structured error paths (malformed, unknown names, limits, queue-full), graceful shutdown drain |
+//! | `serve` | `pipm-serve` daemon over loopback TCP: byte-identical cold/warm/direct responses, run-cache dedup of concurrent identical jobs, `whatif` checkpointed sweeps (byte-identical to a direct prefix+resume, one shared prefix per base config, fingerprints never alias plain runs), the figure harness and the daemon keying one run by one fingerprint, structured error paths (malformed, unknown names, limits, queue-full, oversized core counts), graceful shutdown drain |
 //! | `cluster` | multi-node sharding: a consistent-hash router over three `pipm-serve` nodes returns byte-identical responses to a single node and a direct encoding, a key routed twice is computed once cluster-wide (router cache hit, one node miss), killing a ring owner degrades to retry + local fallback with canonical bytes, the open-loop generator replays deterministic Poisson schedules with monotone saturation-sweep rows, and the readiness loop holds hundreds of concurrent connections |
 //! | `fault_injection` | harness self-test (requires `--features fault-inject`): a deliberately injected lost-invalidation must be caught by the oracle/invariants |
 //!

@@ -11,9 +11,14 @@
 //! `whatif` response must be byte-identical to a direct in-process
 //! `run_prefix_one` + `resume_one` encoding, and delta points sharing a
 //! base must share one warmed prefix (a checkpoint-cache hit, visible
-//! in `metrics`).
+//! in `metrics`). The figure harness and the daemon must address the
+//! same run by the same key: a `Harness` disk-cache line and the
+//! matching response carry the same fingerprint.
 
-use pipm_core::{job_key, resume_one, run_one, run_prefix_one, CfgDelta, SWEEP_WARMUP_FRACTION};
+use pipm_bench::{Harness, Point};
+use pipm_core::{
+    fingerprint64, job_key, resume_one, run_one, run_prefix_one, CfgDelta, SWEEP_WARMUP_FRACTION,
+};
 use pipm_serve::client::Client;
 use pipm_serve::json::{self, Json};
 use pipm_serve::proto::encode_result;
@@ -116,6 +121,7 @@ fn responses_byte_identical_across_cold_warm_and_direct() {
         SchemeKind::Pipm,
         &SystemConfig::experiment_scale(),
         &params,
+        None,
     );
     let expected = format!(
         r#"{{"ok":true,"results":[{}]}}"#,
@@ -309,9 +315,12 @@ fn whatif_is_byte_identical_to_direct_fork_and_shares_the_prefix() {
         prefix,
     );
     let direct = resume_one(Workload::Bfs, SchemeKind::Pipm, ckpt, &delta);
-    let key = format!(
-        "sweep-v1|{}|prefix={prefix}|delta={delta:?}",
-        job_key(Workload::Bfs, SchemeKind::Pipm, &cfg, &params)
+    let key = job_key(
+        Workload::Bfs,
+        SchemeKind::Pipm,
+        &SystemConfig::experiment_scale(),
+        &params,
+        Some(&delta),
     );
     let expected = format!(
         r#"{{"ok":true,"results":[{}]}}"#,
@@ -363,6 +372,83 @@ fn whatif_fingerprint_never_aliases_a_plain_run() {
         fp(&plain),
         "a prefix+tail sweep point must not masquerade as a full run"
     );
+    daemon.stop();
+}
+
+/// The figure harness and the daemon address one run by one key: a
+/// full point and a sweep point measured by a `Harness` land in its disk
+/// cache under keys whose fingerprints are exactly the ones the daemon
+/// returns for the matching `submit` and `whatif`, with the same
+/// simulated cycles.
+#[test]
+fn bench_and_daemon_address_the_same_run_the_same_way() {
+    let path = std::env::temp_dir().join(format!("pipm_serve_same_key_{}.tsv", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let harness = Harness::with_settings(REFS, SEED, Some(path.clone()), 1);
+    let delta = CfgDelta {
+        link_latency_ns: Some(100.0),
+        ..CfgDelta::default()
+    };
+    harness.measure_all(&[
+        Point::default_cfg(Workload::Bfs, SchemeKind::Pipm),
+        Point::sweep(Workload::Bfs, SchemeKind::Pipm, "lat=100ns", delta),
+    ]);
+    let disk = std::fs::read_to_string(&path).expect("harness wrote its disk cache");
+    let _ = std::fs::remove_file(&path);
+    let mut from_bench: Vec<(String, u64)> = disk
+        .lines()
+        .map(|line| {
+            let fields: Vec<&str> = line.split('\t').collect();
+            let cycles = fields[1].parse().expect("exec_cycles field");
+            (format!("{:016x}", fingerprint64(fields[0])), cycles)
+        })
+        .collect();
+
+    let daemon = Daemon::start(ServerConfig::default());
+    let mut client = daemon.client();
+    let mut from_daemon: Vec<(String, u64)> =
+        [submit_line("bfs", "pipm", REFS, SEED), whatif_line(100)]
+            .iter()
+            .map(|line| {
+                let response = client.request_json(line).expect("daemon response");
+                let result = &response.get("results").and_then(Json::as_arr).unwrap()[0];
+                let fingerprint = result.get("fingerprint").and_then(Json::as_str).unwrap();
+                let cycles = result.get("exec_cycles").and_then(Json::as_u64).unwrap();
+                (fingerprint.to_string(), cycles)
+            })
+            .collect();
+    daemon.stop();
+    from_bench.sort();
+    from_daemon.sort();
+    assert_eq!(from_bench.len(), 2, "one disk-cache line per point");
+    assert_eq!(from_bench, from_daemon);
+}
+
+/// A `cores_per_host` past the 8-bit core index is a typed rejection
+/// before admission, however large: the daemon neither aliases cores
+/// nor tries to allocate per-core state for 10^11 of them, and keeps
+/// serving.
+#[test]
+fn oversized_core_counts_are_rejected_and_the_daemon_survives() {
+    let daemon = Daemon::start(ServerConfig::default());
+    let mut client = daemon.client();
+    for cores in ["257", "100000000000"] {
+        let response = client
+            .request_json(&format!(
+                r#"{{"cmd":"submit","jobs":[{{"workload":"bfs","scheme":"pipm","refs_per_core":{REFS},"cfg":{{"cores_per_host":{cores}}}}}]}}"#
+            ))
+            .expect("rejection");
+        assert_eq!(
+            response
+                .get("error")
+                .and_then(|e| e.get("kind"))
+                .and_then(Json::as_str),
+            Some("bad_request"),
+            "cores_per_host={cores}"
+        );
+    }
+    let status = client.request_json(r#"{"cmd":"status"}"#).expect("status");
+    assert_eq!(status.get("state").and_then(Json::as_str), Some("serving"));
     daemon.stop();
 }
 
