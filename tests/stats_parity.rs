@@ -8,59 +8,96 @@
 //! schemes (captured from the pre-swap simulator) and assert the current
 //! code still produces exactly those statistics — serially and across
 //! `par_map` worker counts (the `PIPM_WORKERS` fan-out path).
+//!
+//! A second table, [`GOLDEN_PATHS`], locks the paths those default-config
+//! jobs never reach — the switched fabric, sector migration and device
+//! directory recalls — and asserts that each variant really takes its
+//! path, so a refactor of the miss, eviction and recall code cannot drift
+//! unnoticed there either.
 
 use pipm_core::{par_map, run_one, RunResult};
 use pipm_types::{SchemeKind, SystemConfig, SystemStats};
 use pipm_workloads::{Workload, WorkloadParams};
 
-/// FNV-1a over a canonical little-endian encoding of every counter in
-/// [`SystemStats`]. Field order is fixed by this function, so the
-/// fingerprint is stable as long as the statistics themselves are.
-fn fingerprint(stats: &SystemStats) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut put = |x: u64| {
+/// FNV-1a over little-endian `u64` words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn put(&mut self, x: u64) {
         for b in x.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
-    };
-    put(stats.cores.len() as u64);
+    }
+}
+
+/// Feeds a canonical encoding of every core, migration, remap and
+/// directory counter in [`SystemStats`] into `h`. Field order is fixed by
+/// this function, so a fingerprint is stable as long as the statistics
+/// themselves are.
+fn hash_stats(h: &mut Fnv, stats: &SystemStats) {
+    h.put(stats.cores.len() as u64);
     for c in &stats.cores {
-        put(c.instructions);
-        put(c.cycles);
-        put(c.mem_refs);
+        h.put(c.instructions);
+        h.put(c.cycles);
+        h.put(c.mem_refs);
         for v in c.class_count {
-            put(v);
+            h.put(v);
         }
         for v in c.class_latency {
-            put(v);
+            h.put(v);
         }
         for v in c.class_stall {
-            put(v);
+            h.put(v);
         }
-        put(c.mgmt_stall);
-        put(c.transfer_stall);
+        h.put(c.mgmt_stall);
+        h.put(c.transfer_stall);
     }
     let m = &stats.migration;
-    put(m.pages_promoted);
-    put(m.pages_demoted);
-    put(m.lines_migrated_in);
-    put(m.lines_migrated_back);
-    put(m.transfer_bytes);
-    put(m.harmful_promotions);
-    put(m.evaluated_promotions);
+    h.put(m.pages_promoted);
+    h.put(m.pages_demoted);
+    h.put(m.lines_migrated_in);
+    h.put(m.lines_migrated_back);
+    h.put(m.transfer_bytes);
+    h.put(m.harmful_promotions);
+    h.put(m.evaluated_promotions);
     for &v in &m.peak_resident_pages {
-        put(v);
+        h.put(v);
     }
     for &v in &m.peak_resident_lines {
-        put(v);
+        h.put(v);
     }
-    put(stats.local_remap_hits);
-    put(stats.local_remap_misses);
-    put(stats.global_remap_hits);
-    put(stats.global_remap_misses);
-    put(stats.directory_recalls);
-    h
+    h.put(stats.local_remap_hits);
+    h.put(stats.local_remap_misses);
+    h.put(stats.global_remap_hits);
+    h.put(stats.global_remap_misses);
+    h.put(stats.directory_recalls);
+}
+
+/// The fingerprint behind [`GOLDEN`]: every counter except the fabric's.
+fn fingerprint(stats: &SystemStats) -> u64 {
+    let mut h = Fnv::new();
+    hash_stats(&mut h, stats);
+    h.0
+}
+
+/// The fingerprint behind [`GOLDEN_PATHS`]: [`fingerprint`]'s counters
+/// plus the fabric's switch hops and per-device traffic.
+fn fingerprint_with_fabric(stats: &SystemStats) -> u64 {
+    let mut h = Fnv::new();
+    hash_stats(&mut h, stats);
+    h.put(stats.fabric.switch_hops);
+    for &v in &stats.fabric.device_messages {
+        h.put(v);
+    }
+    for &v in &stats.fabric.device_bytes {
+        h.put(v);
+    }
+    h.0
 }
 
 const REFS_PER_CORE: u64 = 20_000;
@@ -175,8 +212,138 @@ fn golden_fingerprints_with_explicit_single_device_topology() {
     }
 }
 
-/// Regenerates the golden table. Ignored: run manually when simulation
-/// behavior changes intentionally, then paste the output into `GOLDEN`.
+/// A configuration that drives a path the default configuration never
+/// reaches: with `experiment_scale()` every [`GOLDEN`] job runs without a
+/// directory recall, a switch hop, a sector neighbour or PIPM migration
+/// queueing, so those paths need their own lock.
+#[derive(Clone, Copy, Debug)]
+enum PathVariant {
+    /// Four hosts behind one switch reaching two devices.
+    Switched,
+    /// PIPM pulls three spatial neighbours with every migrated line.
+    Sector4,
+    /// A 64-entry device directory that recalls under capacity pressure.
+    TinyDirectory,
+}
+
+const PATH_VARIANTS: [PathVariant; 3] = [
+    PathVariant::Switched,
+    PathVariant::Sector4,
+    PathVariant::TinyDirectory,
+];
+
+/// The schemes [`GOLDEN_PATHS`] covers: the native directory, kernel
+/// migration, PIPM and HW-static's swap-on-access.
+const PATH_SCHEMES: [SchemeKind; 4] = [
+    SchemeKind::Native,
+    SchemeKind::Nomad,
+    SchemeKind::Pipm,
+    SchemeKind::HwStatic,
+];
+
+fn variant_config(v: PathVariant) -> SystemConfig {
+    let mut cfg = SystemConfig::experiment_scale();
+    match v {
+        PathVariant::Switched => {
+            cfg.apply_topology(pipm_types::TopologySpec::switched(4, 2, 30.0));
+        }
+        PathVariant::Sector4 => cfg.pipm.sector_lines = 4,
+        PathVariant::TinyDirectory => {
+            cfg.directory.sets_per_slice = 16;
+            cfg.directory.slices = 1;
+            cfg.directory.ways = 4;
+        }
+    }
+    cfg
+}
+
+/// One path variant's golden fingerprints, in `WORKLOADS` × `PATH_SCHEMES`
+/// order.
+type PathTable = [(Workload, SchemeKind, u64); 8];
+
+/// Golden [`fingerprint_with_fabric`] values for the path variants,
+/// captured before the miss, eviction and recall paths were folded into
+/// one helper per protocol step. Regenerate with `cargo test -q -p
+/// pipm-integration-tests --release --test stats_parity -- --ignored
+/// --nocapture` only when simulation behavior is *intentionally* changed.
+const GOLDEN_PATHS: [(PathVariant, &PathTable); 3] = [
+    (PathVariant::Switched, &GOLDEN_SWITCHED),
+    (PathVariant::Sector4, &GOLDEN_SECTOR4),
+    (PathVariant::TinyDirectory, &GOLDEN_TINY_DIRECTORY),
+];
+
+const GOLDEN_SWITCHED: PathTable = [
+    (Workload::Bfs, SchemeKind::Native, 0x1db37dfc2e31bc53),
+    (Workload::Bfs, SchemeKind::Nomad, 0xc22ca958abe41d36),
+    (Workload::Bfs, SchemeKind::Pipm, 0x7665ada74aaf6b22),
+    (Workload::Bfs, SchemeKind::HwStatic, 0xd7f54cccd5a46c55),
+    (Workload::Ycsb, SchemeKind::Native, 0xf4ad370fa7e689d2),
+    (Workload::Ycsb, SchemeKind::Nomad, 0x9558dda51b97ce56),
+    (Workload::Ycsb, SchemeKind::Pipm, 0x2864811a4547d056),
+    (Workload::Ycsb, SchemeKind::HwStatic, 0xc55f3edc134f10bb),
+];
+
+const GOLDEN_SECTOR4: PathTable = [
+    (Workload::Bfs, SchemeKind::Native, 0xdbcce9905df2b895),
+    (Workload::Bfs, SchemeKind::Nomad, 0x5e5ea71458b20e26),
+    (Workload::Bfs, SchemeKind::Pipm, 0x388edf11a3539fc7),
+    (Workload::Bfs, SchemeKind::HwStatic, 0x5ce188b80b743675),
+    (Workload::Ycsb, SchemeKind::Native, 0x2b7534adad52f704),
+    (Workload::Ycsb, SchemeKind::Nomad, 0x6c30fe95c452fd6a),
+    (Workload::Ycsb, SchemeKind::Pipm, 0x54489ac5b061740b),
+    (Workload::Ycsb, SchemeKind::HwStatic, 0x3081a222ed5843f9),
+];
+
+const GOLDEN_TINY_DIRECTORY: PathTable = [
+    (Workload::Bfs, SchemeKind::Native, 0xbada3900a4f331b3),
+    (Workload::Bfs, SchemeKind::Nomad, 0x4802e26e04c048ff),
+    (Workload::Bfs, SchemeKind::Pipm, 0x7654869aba42e479),
+    (Workload::Bfs, SchemeKind::HwStatic, 0x722d9eace7625bd3),
+    (Workload::Ycsb, SchemeKind::Native, 0x744bd7d1d69f0038),
+    (Workload::Ycsb, SchemeKind::Nomad, 0xb0690045f369eabb),
+    (Workload::Ycsb, SchemeKind::Pipm, 0x4e703dec44e237a0),
+    (Workload::Ycsb, SchemeKind::HwStatic, 0x95bcc3a14e3d8b74),
+];
+
+#[test]
+fn golden_fingerprints_rare_paths() {
+    let params = WorkloadParams {
+        refs_per_core: REFS_PER_CORE,
+        seed: SEED,
+    };
+    for (v, table) in GOLDEN_PATHS {
+        for &(w, s, want) in table {
+            let stats = run_one(w, s, variant_config(v), &params).stats;
+            match v {
+                PathVariant::Switched => assert!(
+                    stats.fabric.switch_hops > 0,
+                    "{w} under {s}: the switched topology never crossed the switch"
+                ),
+                PathVariant::Sector4 if matches!(s, SchemeKind::Pipm | SchemeKind::HwStatic) => {
+                    let single = run_one(w, s, SystemConfig::experiment_scale(), &params).stats;
+                    assert!(
+                        stats.migration.lines_migrated_in > single.migration.lines_migrated_in,
+                        "{w} under {s}: sector_lines = 4 migrated no neighbour"
+                    );
+                }
+                PathVariant::Sector4 => {}
+                PathVariant::TinyDirectory => assert!(
+                    stats.directory_recalls > 0,
+                    "{w} under {s}: the tiny directory never recalled"
+                ),
+            }
+            assert_eq!(
+                fingerprint_with_fabric(&stats),
+                want,
+                "{w} under {s} ({v:?}): SystemStats diverged from the path golden"
+            );
+        }
+    }
+}
+
+/// Regenerates both golden tables. Ignored: run manually when simulation
+/// behavior changes intentionally, then paste the output into `GOLDEN`
+/// and the [`GOLDEN_PATHS`] tables.
 #[test]
 #[ignore]
 fn print_golden_fingerprints() {
@@ -191,6 +358,18 @@ fn print_golden_fingerprints() {
                 "    (Workload::{w:?}, SchemeKind::{s:?}, {:#018x}),",
                 fingerprint(&r.stats)
             );
+        }
+    }
+    for v in PATH_VARIANTS {
+        println!("{v:?}:");
+        for w in WORKLOADS {
+            for s in PATH_SCHEMES {
+                let r = run_one(w, s, variant_config(v), &params);
+                println!(
+                    "    (Workload::{w:?}, SchemeKind::{s:?}, {:#018x}),",
+                    fingerprint_with_fabric(&r.stats)
+                );
+            }
         }
     }
 }
