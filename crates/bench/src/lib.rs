@@ -44,7 +44,7 @@ pub mod stats;
 pub mod svg;
 
 use pipm_core::{job_key, par_map, CfgDelta, RunCache, RunResult, Runner};
-use pipm_types::{AccessClass, SchemeKind, SystemConfig};
+use pipm_types::{SchemeKind, SystemConfig};
 use pipm_workloads::{Workload, WorkloadParams};
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -95,17 +95,11 @@ pub struct Measurement {
 impl Measurement {
     fn from_run(r: &RunResult) -> Self {
         let s = &r.stats;
-        let lr_total = s.local_remap_hits + s.local_remap_misses;
-        let gr_total = s.global_remap_hits + s.global_remap_misses;
         Measurement {
             exec_cycles: s.exec_cycles(),
             ipc: s.aggregate_ipc(),
             local_hit: s.local_hit_rate(),
-            interhost_stall_sum: s
-                .cores
-                .iter()
-                .map(|c| c.class_stall[AccessClass::InterHost.index()])
-                .sum(),
+            interhost_stall_sum: s.total_interhost_stall(),
             mgmt_stall_sum: s.total_mgmt_stall(),
             transfer_stall_sum: s.total_transfer_stall(),
             cores: s.cores.len() as u64,
@@ -117,16 +111,8 @@ impl Measurement {
             evaluated: s.migration.evaluated_promotions,
             footprint_page: s.footprint_page_fraction(r.cfg.shared_pages()),
             footprint_line: s.footprint_line_fraction(r.cfg.shared_pages()),
-            local_remap_hit_rate: if lr_total == 0 {
-                0.0
-            } else {
-                s.local_remap_hits as f64 / lr_total as f64
-            },
-            global_remap_hit_rate: if gr_total == 0 {
-                0.0
-            } else {
-                s.global_remap_hits as f64 / gr_total as f64
-            },
+            local_remap_hit_rate: s.local_remap_hit_rate(),
+            global_remap_hit_rate: s.global_remap_hit_rate(),
         }
     }
 

@@ -21,6 +21,8 @@
 //! No distributional assumption (the noise is nothing like normal),
 //! no lookup tables, std only.
 
+use pipm_serve::bench::SplitMix64;
+
 /// Significance threshold of [`PairedPermutation::significant`].
 pub const SIGNIFICANCE_LEVEL: f64 = 0.05;
 
@@ -110,26 +112,6 @@ pub fn paired_permutation_test(pairs: &[(f64, f64)]) -> Option<PairedPermutation
         p_value,
         method,
     })
-}
-
-/// SplitMix64: tiny deterministic PRNG for the Monte Carlo resamples
-/// (same recurrence the serve-side load generator uses).
-struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    fn new(seed: u64) -> SplitMix64 {
-        SplitMix64 { state: seed }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
 }
 
 #[cfg(test)]

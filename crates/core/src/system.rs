@@ -20,10 +20,10 @@ use pipm_baselines::{
 use pipm_cache::SetAssoc;
 use pipm_coherence::{DevState, DeviceDirectory, Recall};
 use pipm_cpu::{AccessStream, CoreModel, TraceRecord};
-use pipm_fabric::{Dir, Topology};
+use pipm_fabric::{Arrival, Dir, Topology};
 use pipm_mem::Dram;
 use pipm_types::{
-    AccessClass, Addr, Cycle, FxHashMap, HostId, LineAddr, PageNum, PageTable, SchemeKind,
+    AccessClass, Addr, Cycle, FxHashMap, HostId, HostSet, LineAddr, PageNum, PageTable, SchemeKind,
     SystemConfig, SystemStats, LINES_PER_PAGE, PAGE_SIZE,
 };
 
@@ -39,6 +39,17 @@ enum LState {
     M,
     /// Migrated-exclusive (PIPM ME): backed by local DRAM.
     Me,
+}
+
+impl LState {
+    /// A sole holder's fill state: M for a write, E for a read.
+    fn sole(is_write: bool) -> LState {
+        if is_write {
+            LState::M
+        } else {
+            LState::E
+        }
+    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -987,23 +998,10 @@ impl System {
                 })
             );
             if needs_upgrade {
-                // `upgrade_shared` marks the LLC line M + dirty and runs
-                // the oracle hooks.
                 return self.upgrade_shared(hi, line, now);
             }
-            if let Some(m) = self.hosts[hi].llc.peek_mut(line) {
-                m.dirty = true;
-                if m.state == LState::E {
-                    m.state = LState::M;
-                }
-            }
         }
-        if let Some(o) = self.oracle.as_mut() {
-            o.cache_hit(hi, line);
-            if is_write {
-                o.write_applied(hi, line);
-            }
-        }
+        self.cache_hit(hi, line, is_write);
         (now + self.cfg.l1d.hit_latency, AccessClass::L1Hit, 0)
     }
 
@@ -1022,56 +1020,22 @@ impl System {
 
         // LLC lookup.
         if let Some(meta) = self.hosts[hi].llc.lookup(line).copied() {
-            let mut done = now + self.cfg.llc_per_core.hit_latency;
-            let mut class = AccessClass::LlcHit;
-            let mut queued = 0;
-            if is_write {
-                match meta.state {
-                    LState::S => {
-                        let (d, c, q) = self.upgrade_shared(hi, line, now);
-                        done = d;
-                        class = c;
-                        queued = q;
-                    }
-                    LState::E => {
-                        if let Some(m) = self.hosts[hi].llc.peek_mut(line) {
-                            m.state = LState::M;
-                            m.dirty = true;
-                        }
-                    }
-                    LState::M | LState::Me => {
-                        if let Some(m) = self.hosts[hi].llc.peek_mut(line) {
-                            m.dirty = true;
-                        }
-                    }
-                }
-            }
-            // The S-write path checked the oracle inside `upgrade_shared`.
-            if !(is_write && meta.state == LState::S) {
-                if let Some(o) = self.oracle.as_mut() {
-                    o.cache_hit(hi, line);
-                    if is_write {
-                        o.write_applied(hi, line);
-                    }
-                }
-            }
+            let out = if is_write && meta.state == LState::S {
+                self.upgrade_shared(hi, line, now)
+            } else {
+                self.cache_hit(hi, line, is_write);
+                let done = now + self.cfg.llc_per_core.hit_latency;
+                (done, AccessClass::LlcHit, 0)
+            };
             self.fill_l1(hi, li, line, is_write);
-            return (done, class, queued);
+            return out;
         }
 
         // LLC miss.
         let t = now + self.cfg.llc_per_core.hit_latency;
         if !addr.is_shared(&self.cfg) {
             // Private data: always the host's local DRAM.
-            let done = self.hosts[hi].dram.access(addr, t, is_write);
-            let state = if is_write { LState::M } else { LState::E };
-            self.install(hi, li, line, state, is_write, t);
-            if let Some(o) = self.oracle.as_mut() {
-                o.fill_from_local(hi, line);
-                if is_write {
-                    o.write_applied(hi, line);
-                }
-            }
+            let done = self.fill_local(hi, li, line, LState::sole(is_write), is_write, t);
             return (done, AccessClass::LocalPrivate, 0);
         }
 
@@ -1080,15 +1044,7 @@ impl System {
         let out = match &mut scheme {
             SchemeState::Native => self.shared_via_cxl(hi, li, line, is_write, t, None),
             SchemeState::Ideal => {
-                let done = self.hosts[hi].dram.access(addr, t, is_write);
-                let state = if is_write { LState::M } else { LState::E };
-                self.install(hi, li, line, state, is_write, t);
-                if let Some(o) = self.oracle.as_mut() {
-                    o.fill_from_local(hi, line);
-                    if is_write {
-                        o.write_applied(hi, line);
-                    }
-                }
+                let done = self.fill_local(hi, li, line, LState::sole(is_write), is_write, t);
                 (done, AccessClass::LocalShared, 0)
             }
             SchemeState::Kernel(k) => self.kernel_shared(k, hi, li, line, is_write, t),
@@ -1109,61 +1065,18 @@ impl System {
     ) -> (Cycle, AccessClass, Cycle) {
         let host = HostId::new(hi);
         let dev = self.fabric.device_for_line(line);
-        let up = self.fabric.send(
-            host,
-            dev,
-            Dir::ToDevice,
-            now,
-            self.fabric.header_bytes(),
-            false,
-        );
+        let up = self.ctrl(host, dev, Dir::ToDevice, now);
         let mut t = up.at + self.cfg.directory.access_latency();
         let mut queued = up.queued_behind_migration;
         if let Some(DevState::Shared(set)) = self.devdir.lookup(line) {
-            let mut max_ack = t;
-            for sharer in set.iter().filter(|&s| s != host) {
-                let inv = self.fabric.send(
-                    sharer,
-                    dev,
-                    Dir::ToHost,
-                    t,
-                    self.fabric.header_bytes(),
-                    false,
-                );
-                queued += inv.queued_behind_migration;
-                // Invalidate the sharer's cached copies.
-                self.invalidate_host_line(sharer.index(), line);
-                if let Some(o) = self.oracle.as_mut() {
-                    o.drop_cached(sharer.index(), line);
-                }
-                // Ack returns to the device.
-                let ack = self.fabric.send(
-                    sharer,
-                    dev,
-                    Dir::ToDevice,
-                    inv.at,
-                    self.fabric.header_bytes(),
-                    false,
-                );
-                max_ack = max_ack.max(ack.at);
-            }
-            t = max_ack;
+            let (acked, inv_queued) = self.invalidate_sharers(set, host, line, dev, t);
+            t = acked;
+            queued += inv_queued;
         }
         self.devdir.remove(line);
-        if let Some(r) = self.devdir.update(line, DevState::Modified(host)) {
-            self.handle_recall(r, t);
-        }
-        if let Some(m) = self.hosts[hi].llc.peek_mut(line) {
-            m.state = LState::M;
-            m.dirty = true;
-        }
-        if let Some(o) = self.oracle.as_mut() {
-            o.cache_hit(hi, line);
-            o.write_applied(hi, line);
-        }
-        let down = self
-            .fabric
-            .send(host, dev, Dir::ToHost, t, self.fabric.header_bytes(), false);
+        self.dir_update(line, DevState::Modified(host), t);
+        self.cache_hit(hi, line, true);
+        let down = self.ctrl(host, dev, Dir::ToHost, t);
         queued += down.queued_behind_migration;
         (down.at, AccessClass::CxlDram, queued)
     }
@@ -1186,14 +1099,7 @@ impl System {
         let addr = line.base_addr();
         let dev = self.fabric.device_for_line(line);
         let issue = t;
-        let up = self.fabric.send(
-            host,
-            dev,
-            Dir::ToDevice,
-            t,
-            self.fabric.header_bytes(),
-            false,
-        );
+        let up = self.ctrl(host, dev, Dir::ToDevice, t);
         let mut queued = up.queued_behind_migration;
         let mut t = up.at + self.cfg.directory.access_latency();
 
@@ -1233,14 +1139,7 @@ impl System {
         let (done, class) = match dstate {
             Some(DevState::Modified(owner)) if owner != host => {
                 // Four-hop forward through the owning host's cache.
-                let fwd = self.fabric.send(
-                    owner,
-                    dev,
-                    Dir::ToHost,
-                    t,
-                    self.fabric.header_bytes(),
-                    false,
-                );
+                let fwd = self.ctrl(owner, dev, Dir::ToHost, t);
                 let mut tt = fwd.at + self.cfg.llc_per_core.hit_latency;
                 let dirty = self.hosts[owner.index()]
                     .llc
@@ -1255,9 +1154,7 @@ impl System {
                 } else {
                     self.downgrade_host_line(owner.index(), line);
                 }
-                let back = self
-                    .fabric
-                    .send(owner, dev, Dir::ToDevice, tt, DATA_MSG, false);
+                let back = self.data(owner, dev, Dir::ToDevice, tt);
                 tt = back.at;
                 if dirty {
                     // Asynchronous writeback of the forwarded data.
@@ -1267,59 +1164,21 @@ impl System {
                 let new_state = if is_write {
                     DevState::Modified(host)
                 } else {
-                    let mut set = pipm_types::HostSet::singleton(owner);
+                    let mut set = HostSet::singleton(owner);
                     set.insert(host);
                     DevState::Shared(set)
                 };
-                if let Some(r) = self.devdir.update(line, new_state) {
-                    self.handle_recall(r, tt);
-                }
-                let down = self
-                    .fabric
-                    .send(host, dev, Dir::ToHost, tt, DATA_MSG, false);
+                self.dir_update(line, new_state, tt);
+                let down = self.data(host, dev, Dir::ToHost, tt);
                 queued += down.queued_behind_migration + fwd.queued_behind_migration;
                 (down.at, AccessClass::CxlForward)
             }
             Some(DevState::Shared(set)) => {
                 let mut tt = t;
                 if is_write {
-                    let mut max_ack = tt;
-                    #[cfg(feature = "fault-inject")]
-                    let mut fault_skipped = false;
-                    for sharer in set.iter().filter(|&s| s != host) {
-                        // Deliberate coherence mutation for the harness
-                        // self-test: leave the first sharer's stale copy
-                        // behind. Never compiled into normal builds.
-                        #[cfg(feature = "fault-inject")]
-                        {
-                            if !fault_skipped {
-                                fault_skipped = true;
-                                continue;
-                            }
-                        }
-                        let inv = self.fabric.send(
-                            sharer,
-                            dev,
-                            Dir::ToHost,
-                            tt,
-                            self.fabric.header_bytes(),
-                            false,
-                        );
-                        self.invalidate_host_line(sharer.index(), line);
-                        if let Some(o) = self.oracle.as_mut() {
-                            o.drop_cached(sharer.index(), line);
-                        }
-                        let ack = self.fabric.send(
-                            sharer,
-                            dev,
-                            Dir::ToDevice,
-                            inv.at,
-                            self.fabric.header_bytes(),
-                            false,
-                        );
-                        max_ack = max_ack.max(ack.at);
-                    }
-                    tt = max_ack;
+                    // Unlike `upgrade_shared`, a write miss does not charge
+                    // the invalidations' queueing (open: ROADMAP item 4).
+                    tt = self.invalidate_sharers(set, host, line, dev, tt).0;
                 }
                 tt = self.cxl_dram[dev].access(addr, tt, false);
                 if let Some(o) = self.oracle.as_mut() {
@@ -1333,12 +1192,8 @@ impl System {
                     set.insert(host);
                     DevState::Shared(set)
                 };
-                if let Some(r) = self.devdir.update(line, new_state) {
-                    self.handle_recall(r, tt);
-                }
-                let down = self
-                    .fabric
-                    .send(host, dev, Dir::ToHost, tt, DATA_MSG, false);
+                self.dir_update(line, new_state, tt);
+                let down = self.data(host, dev, Dir::ToHost, tt);
                 queued += down.queued_behind_migration;
                 (down.at, AccessClass::CxlDram)
             }
@@ -1350,12 +1205,8 @@ impl System {
                 if let Some(o) = self.oracle.as_mut() {
                     o.fill_from_cxl(hi, line);
                 }
-                if let Some(r) = self.devdir.update(line, DevState::Modified(host)) {
-                    self.handle_recall(r, tt);
-                }
-                let down = self
-                    .fabric
-                    .send(host, dev, Dir::ToHost, tt, DATA_MSG, false);
+                self.dir_update(line, DevState::Modified(host), tt);
+                let down = self.data(host, dev, Dir::ToHost, tt);
                 queued += down.queued_behind_migration;
                 (down.at, AccessClass::CxlDram)
             }
@@ -1395,15 +1246,7 @@ impl System {
         match resident {
             Some(owner) if owner == host => {
                 k.harm.on_access(page, host);
-                let done = self.hosts[hi].dram.access(line.base_addr(), t, is_write);
-                let state = if is_write { LState::M } else { LState::E };
-                self.install(hi, li, line, state, is_write, t);
-                if let Some(o) = self.oracle.as_mut() {
-                    o.fill_from_local(hi, line);
-                    if is_write {
-                        o.write_applied(hi, line);
-                    }
-                }
+                let done = self.fill_local(hi, li, line, LState::sole(is_write), is_write, t);
                 (done, AccessClass::LocalShared, 0)
             }
             Some(owner) => {
@@ -1411,32 +1254,14 @@ impl System {
                 // memory (GIM semantics, Figure 3 ①–⑤). No cache fill.
                 k.harm.on_access(page, host);
                 let dev = self.fabric.device_for_page(page);
-                let up = self.fabric.send(
-                    host,
-                    dev,
-                    Dir::ToDevice,
-                    t,
-                    self.fabric.header_bytes(),
-                    false,
-                );
-                let fwd = self.fabric.send(
-                    owner,
-                    dev,
-                    Dir::ToHost,
-                    up.at,
-                    self.fabric.header_bytes(),
-                    false,
-                );
+                let up = self.ctrl(host, dev, Dir::ToDevice, t);
+                let fwd = self.ctrl(owner, dev, Dir::ToHost, up.at);
                 let tt = fwd.at + self.cfg.llc_per_core.hit_latency; // owner local dir
                 let tt = self.hosts[owner.index()]
                     .dram
                     .access_shadow(line.base_addr(), tt);
-                let back = self
-                    .fabric
-                    .send(owner, dev, Dir::ToDevice, tt, DATA_MSG, false);
-                let down = self
-                    .fabric
-                    .send(host, dev, Dir::ToHost, back.at, DATA_MSG, false);
+                let back = self.data(owner, dev, Dir::ToDevice, tt);
+                let down = self.data(host, dev, Dir::ToHost, back.at);
                 let queued = up.queued_behind_migration
                     + fwd.queued_behind_migration
                     + back.queued_behind_migration
@@ -1496,14 +1321,7 @@ impl System {
             }
             if migrated {
                 // Case ③: I′ → serve from local DRAM, cache as ME.
-                let done = self.hosts[hi].dram.access(line.base_addr(), t, is_write);
-                self.install(hi, li, line, LState::Me, is_write, t);
-                if let Some(o) = self.oracle.as_mut() {
-                    o.fill_from_local(hi, line);
-                    if is_write {
-                        o.write_applied(hi, line);
-                    }
-                }
+                let done = self.fill_local(hi, li, line, LState::Me, is_write, t);
                 return (done, AccessClass::LocalShared, 0);
             }
             // Line not yet migrated: cacheable CXL access, bypassing the
@@ -1556,27 +1374,13 @@ impl System {
                     // Cases ②/⑤/⑥: coherent 4-hop fetch from the owner's
                     // local memory (or cache) + incremental migration back.
                     let dev = self.fabric.device_for_page(page);
-                    let up = self.fabric.send(
-                        host,
-                        dev,
-                        Dir::ToDevice,
-                        t,
-                        self.fabric.header_bytes(),
-                        false,
-                    );
+                    let up = self.ctrl(host, dev, Dir::ToDevice, t);
                     let mut tt = up.at + self.cfg.directory.access_latency();
                     // CXL memory read verifies the I′ in-memory bit; the
                     // owning host comes from the global remapping cache
                     // (hot for contested pages).
                     tt = self.cxl_dram[dev].access(line.base_addr(), tt, false);
-                    let fwd = self.fabric.send(
-                        owner,
-                        dev,
-                        Dir::ToHost,
-                        tt,
-                        self.fabric.header_bytes(),
-                        false,
-                    );
+                    let fwd = self.ctrl(owner, dev, Dir::ToHost, tt);
                     tt = fwd.at + self.cfg.llc_per_core.hit_latency;
                     let cached = self.hosts[owner.index()].llc.peek(line).is_some();
                     if let Some(o) = self.oracle.as_mut() {
@@ -1598,26 +1402,20 @@ impl System {
                     self.hosts[owner.index()].remap.clear_line(page, idx);
                     self.stats.migration.lines_migrated_back += 1;
                     self.stats.migration.transfer_bytes += 64;
-                    let back = self
-                        .fabric
-                        .send(owner, dev, Dir::ToDevice, tt, DATA_MSG, false);
+                    let back = self.data(owner, dev, Dir::ToDevice, tt);
                     self.cxl_dram[dev].write_buffered(line.base_addr(), back.at);
                     let new_state = if is_write {
                         DevState::Modified(host)
                     } else if cached {
-                        let mut set = pipm_types::HostSet::singleton(owner);
+                        let mut set = HostSet::singleton(owner);
                         set.insert(host);
                         DevState::Shared(set)
                     } else {
                         DevState::Modified(host)
                     };
                     self.devdir.remove(line);
-                    if let Some(r) = self.devdir.update(line, new_state) {
-                        self.handle_recall(r, back.at);
-                    }
-                    let down = self
-                        .fabric
-                        .send(host, dev, Dir::ToHost, back.at, DATA_MSG, false);
+                    self.dir_update(line, new_state, back.at);
+                    let down = self.data(host, dev, Dir::ToHost, back.at);
                     let queued = up.queued_behind_migration
                         + fwd.queued_behind_migration
                         + back.queued_behind_migration
@@ -1694,14 +1492,7 @@ impl System {
             }
             // Fetch from CXL memory and install into local DRAM.
             let dev = self.fabric.device_for_page(page);
-            let up = self.fabric.send(
-                host,
-                dev,
-                Dir::ToDevice,
-                now,
-                self.fabric.header_bytes(),
-                false,
-            );
+            let up = self.ctrl(host, dev, Dir::ToDevice, now);
             let t = self.cxl_dram[dev].access(line.base_addr(), up.at, false);
             let down = self.fabric.send(host, dev, Dir::ToHost, t, DATA_MSG, true);
             self.hosts[hi]
@@ -1737,14 +1528,7 @@ impl System {
             }
         }
         if n > 0 {
-            let bytes = n * 64;
-            let t = self.hosts[oi]
-                .dram
-                .bulk_transfer(page.base_addr(), now, bytes);
-            let dev = self.fabric.device_for_page(page);
-            let arr = self.fabric.send(owner, dev, Dir::ToDevice, t, bytes, true);
-            self.cxl_dram[dev].bulk_transfer(page.base_addr(), arr.at, bytes);
-            self.stats.migration.transfer_bytes += bytes;
+            self.migrate_to_cxl(owner, page, n * 64, now);
             self.stats.migration.lines_migrated_back += n;
         }
         global.clear_current(page);
@@ -1752,17 +1536,192 @@ impl System {
     }
 
     // ------------------------------------------------------------------
+    // Protocol steps: the miss, eviction, recall and migration paths
+    // above and below are built from these, one helper per step.
+    // ------------------------------------------------------------------
+
+    /// A hit in host `hi`'s caches: a write makes the LLC copy dirty and,
+    /// unless it is ME, Modified (an S copy only after `upgrade_shared`
+    /// invalidated the other sharers).
+    #[inline]
+    fn cache_hit(&mut self, hi: usize, line: LineAddr, is_write: bool) {
+        if is_write {
+            if let Some(m) = self.hosts[hi].llc.peek_mut(line) {
+                m.dirty = true;
+                if m.state != LState::Me {
+                    m.state = LState::M;
+                }
+            }
+        }
+        if let Some(o) = self.oracle.as_mut() {
+            o.cache_hit(hi, line);
+            if is_write {
+                o.write_applied(hi, line);
+            }
+        }
+    }
+
+    /// A header-only CXL control message (request, forward, invalidation,
+    /// ack or grant) between host `h` and device `dev`.
+    #[inline]
+    fn ctrl(&mut self, h: HostId, dev: usize, dir: Dir, at: Cycle) -> Arrival {
+        self.fabric
+            .send(h, dev, dir, at, self.fabric.header_bytes(), false)
+    }
+
+    /// A 64 B data message between host `h` and device `dev`.
+    #[inline]
+    fn data(&mut self, h: HostId, dev: usize, dir: Dir, at: Cycle) -> Arrival {
+        self.fabric.send(h, dev, dir, at, DATA_MSG, false)
+    }
+
+    /// A fill from host `hi`'s local DRAM into its LLC (as `state`) and
+    /// core `li`'s L1, returning when the data arrives: private misses,
+    /// the Ideal replica, kernel-resident pages and PIPM case ③.
+    #[inline]
+    fn fill_local(
+        &mut self,
+        hi: usize,
+        li: usize,
+        line: LineAddr,
+        state: LState,
+        is_write: bool,
+        t: Cycle,
+    ) -> Cycle {
+        let done = self.hosts[hi].dram.access(line.base_addr(), t, is_write);
+        self.install(hi, li, line, state, is_write, t);
+        if let Some(o) = self.oracle.as_mut() {
+            o.fill_from_local(hi, line);
+            if is_write {
+                o.write_applied(hi, line);
+            }
+        }
+        done
+    }
+
+    /// An evicted line's writeback into host `hi`'s local DRAM, its home;
+    /// a clean line only moves in the oracle.
+    #[inline]
+    fn writeback_local(&mut self, hi: usize, line: LineAddr, dirty: bool, now: Cycle) {
+        if let Some(o) = self.oracle.as_mut() {
+            o.evict_to_local(hi, line);
+        }
+        if dirty {
+            self.hosts[hi].dram.write_buffered(line.base_addr(), now);
+        }
+    }
+
+    /// A dirty line's writeback from host `h` over the fabric into its
+    /// device's CXL DRAM.
+    #[inline]
+    fn writeback_cxl(&mut self, h: HostId, line: LineAddr, now: Cycle) {
+        let dev = self.fabric.device_for_line(line);
+        let arr = self.data(h, dev, Dir::ToDevice, now);
+        self.cxl_dram[dev].write_buffered(line.base_addr(), arr.at);
+    }
+
+    /// Invalidates every sharer in `set` but `requester`: device `dev`
+    /// sends each an invalidation at `t`, its cached copies drop, and its
+    /// ack returns. Returns when the last ack is back (`t` if none) and
+    /// the cycles the invalidations queued behind migration traffic.
+    #[inline]
+    fn invalidate_sharers(
+        &mut self,
+        set: HostSet,
+        requester: HostId,
+        line: LineAddr,
+        dev: usize,
+        t: Cycle,
+    ) -> (Cycle, Cycle) {
+        let mut acked = t;
+        let mut queued = 0;
+        #[cfg(feature = "fault-inject")]
+        let mut fault_skipped = false;
+        for sharer in set.iter().filter(|&s| s != requester) {
+            // Deliberate coherence mutation for the harness self-test:
+            // leave the first sharer's stale copy behind. Never compiled
+            // into normal builds.
+            #[cfg(feature = "fault-inject")]
+            {
+                if !fault_skipped {
+                    fault_skipped = true;
+                    continue;
+                }
+            }
+            let inv = self.ctrl(sharer, dev, Dir::ToHost, t);
+            queued += inv.queued_behind_migration;
+            self.invalidate_host_line(sharer.index(), line);
+            if let Some(o) = self.oracle.as_mut() {
+                o.drop_cached(sharer.index(), line);
+            }
+            let ack = self.ctrl(sharer, dev, Dir::ToDevice, inv.at);
+            acked = acked.max(ack.at);
+        }
+        (acked, queued)
+    }
+
+    /// A bulk migration of `bytes` of `page` from host `h`'s local DRAM
+    /// over the fabric into CXL DRAM (PIPM revocation, kernel demotion).
+    fn migrate_to_cxl(&mut self, h: HostId, page: PageNum, bytes: u64, now: Cycle) {
+        let t = self.hosts[h.index()]
+            .dram
+            .bulk_transfer(page.base_addr(), now, bytes);
+        let dev = self.fabric.device_for_page(page);
+        let arr = self.fabric.send(h, dev, Dir::ToDevice, t, bytes, true);
+        self.cxl_dram[dev].bulk_transfer(page.base_addr(), arr.at, bytes);
+        self.stats.migration.transfer_bytes += bytes;
+    }
+
+    /// Writes `state` for `line` into the device directory, recalling the
+    /// entry a full set evicts as of `now`.
+    #[inline]
+    fn dir_update(&mut self, line: LineAddr, state: DevState, now: Cycle) {
+        if let Some(r) = self.devdir.update(line, state) {
+            self.handle_recall(r, now);
+        }
+    }
+
+    /// Handles a device-directory capacity recall: the victim entry's
+    /// holders are invalidated (with dirty writeback).
+    fn handle_recall(&mut self, recall: Recall, now: Cycle) {
+        self.stats.directory_recalls += 1;
+        let line = recall.line;
+        match recall.state {
+            DevState::Modified(owner) => {
+                let dirty = self.hosts[owner.index()]
+                    .llc
+                    .peek(line)
+                    .map(|m| m.dirty)
+                    .unwrap_or(false);
+                if let Some(o) = self.oracle.as_mut() {
+                    o.evict_to_cxl(owner.index(), line);
+                }
+                self.invalidate_host_line(owner.index(), line);
+                if dirty {
+                    self.writeback_cxl(owner, line, now);
+                }
+            }
+            DevState::Shared(set) => {
+                let dev = self.fabric.device_for_line(line);
+                for h in set.iter() {
+                    if let Some(o) = self.oracle.as_mut() {
+                        o.drop_cached(h.index(), line);
+                    }
+                    self.invalidate_host_line(h.index(), line);
+                    self.ctrl(h, dev, Dir::ToHost, now);
+                }
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
     // Cache maintenance
     // ------------------------------------------------------------------
 
+    /// Fills core `li`'s L1. Its victim needs no writeback: every write
+    /// also dirtied the inclusive LLC copy.
     fn fill_l1(&mut self, hi: usize, li: usize, line: LineAddr, is_write: bool) {
-        if let Some((_, vmeta)) = self.hosts[hi].l1[li].insert(line, L1Meta { dirty: is_write }) {
-            if vmeta.dirty {
-                // L1 victim writeback folds into the (inclusive) LLC.
-                // The victim line may have been evicted from the LLC
-                // already; dirty data then travelled with that eviction.
-            }
-        }
+        self.hosts[hi].l1[li].insert(line, L1Meta { dirty: is_write });
     }
 
     /// Installs a line in LLC + requesting core's L1, handling the LLC
@@ -1787,8 +1746,9 @@ impl System {
     }
 
     /// Handles eviction of `vline` from host `hi`'s LLC: L1 back-
-    /// invalidation, PIPM incremental migration (cases ① and ④), CXL
-    /// writeback, and directory maintenance.
+    /// invalidation, then a writeback into local DRAM if that is the
+    /// line's home, PIPM incremental migration (case ①), or the baseline
+    /// CXL eviction.
     fn evict_llc_line(&mut self, hi: usize, vline: LineAddr, mut vmeta: LlcMeta, now: Cycle) {
         let host = HostId::new(hi);
         // Inclusive hierarchy: purge L1 copies, folding dirtiness.
@@ -1797,81 +1757,43 @@ impl System {
                 vmeta.dirty |= m.dirty;
             }
         }
-        if !vline.is_shared(&self.cfg) {
-            if let Some(o) = self.oracle.as_mut() {
-                o.evict_to_local(hi, vline);
-            }
-            if vmeta.dirty {
-                self.hosts[hi].dram.write_buffered(vline.base_addr(), now);
-            }
+        // Home in local DRAM: private data, the Ideal replica, a page
+        // resident here under a kernel scheme, or a PIPM ME line (case ④,
+        // written back even when clean).
+        let local_home = vmeta.state == LState::Me
+            || !vline.is_shared(&self.cfg)
+            || match self.kind {
+                SchemeKind::LocalOnly => true,
+                k if k.uses_kernel_migration() => {
+                    self.page_location.get(vline.page()) == Some(&host)
+                }
+                _ => false,
+            };
+        if local_home {
+            let dirty = vmeta.dirty || vmeta.state == LState::Me;
+            self.writeback_local(hi, vline, dirty, now);
             return;
         }
-        match self.kind {
-            SchemeKind::LocalOnly => {
-                if let Some(o) = self.oracle.as_mut() {
-                    o.evict_to_local(hi, vline);
-                }
-                if vmeta.dirty {
-                    self.hosts[hi].dram.write_buffered(vline.base_addr(), now);
-                }
-            }
-            SchemeKind::Native => {
-                self.native_evict(hi, vline, vmeta, now);
-            }
-            k if k.uses_kernel_migration() => {
-                let resident = self.page_location.get(vline.page()).copied();
-                if resident == Some(host) {
-                    if let Some(o) = self.oracle.as_mut() {
-                        o.evict_to_local(hi, vline);
-                    }
-                    if vmeta.dirty {
-                        self.hosts[hi].dram.write_buffered(vline.base_addr(), now);
-                    }
-                } else {
-                    self.native_evict(hi, vline, vmeta, now);
-                }
-            }
-            _ => {
-                let page = vline.page();
-                let idx = vline.index_within_page();
-                match vmeta.state {
-                    LState::Me => {
-                        // Case ④: writeback to local DRAM only.
-                        if let Some(o) = self.oracle.as_mut() {
-                            o.evict_to_local(hi, vline);
-                        }
-                        self.hosts[hi].dram.write_buffered(vline.base_addr(), now);
-                    }
-                    LState::M | LState::E => {
-                        if self.hosts[hi].remap.entry(page).is_some() {
-                            // Case ① (and its clean-exclusive analogue):
-                            // incremental migration into local DRAM.
-                            if let Some(o) = self.oracle.as_mut() {
-                                o.evict_to_local(hi, vline);
-                            }
-                            self.hosts[hi].dram.write_buffered(vline.base_addr(), now);
-                            self.hosts[hi].remap.set_line(page, idx);
-                            self.devdir.remove(vline);
-                            // Flip the CXL-side in-memory bit: a tiny,
-                            // coalesced control flit (the bit lives in the
-                            // CXL line's ECC metadata).
-                            let dev = self.fabric.device_for_page(page);
-                            self.fabric.send(host, dev, Dir::ToDevice, now, 4, false);
-                            self.stats.migration.lines_migrated_in += 1;
-                            self.sector_migrate(hi, page, idx, now);
-                        } else {
-                            self.native_evict(hi, vline, vmeta, now);
-                        }
-                    }
-                    LState::S => {
-                        if let Some(o) = self.oracle.as_mut() {
-                            o.drop_cached(hi, vline);
-                        }
-                        self.devdir.remove_sharer(vline, host);
-                    }
-                }
-            }
+        let page = vline.page();
+        if matches!(self.kind, SchemeKind::Pipm | SchemeKind::HwStatic)
+            && matches!(vmeta.state, LState::M | LState::E)
+            && self.hosts[hi].remap.entry(page).is_some()
+        {
+            // Case ① (and its clean-exclusive analogue): incremental
+            // migration into local DRAM.
+            let idx = vline.index_within_page();
+            self.writeback_local(hi, vline, true, now);
+            self.hosts[hi].remap.set_line(page, idx);
+            self.devdir.remove(vline);
+            // Flip the CXL-side in-memory bit: a tiny, coalesced control
+            // flit (the bit lives in the CXL line's ECC metadata).
+            let dev = self.fabric.device_for_page(page);
+            self.fabric.send(host, dev, Dir::ToDevice, now, 4, false);
+            self.stats.migration.lines_migrated_in += 1;
+            self.sector_migrate(hi, page, idx, now);
+            return;
         }
+        self.native_evict(hi, vline, vmeta, now);
     }
 
     /// Baseline eviction of a CXL-domain line: dirty writeback over the
@@ -1890,11 +1812,7 @@ impl System {
                     o.evict_to_cxl(hi, vline);
                 }
                 if vmeta.dirty {
-                    let dev = self.fabric.device_for_line(vline);
-                    let arr = self
-                        .fabric
-                        .send(host, dev, Dir::ToDevice, now, DATA_MSG, false);
-                    self.cxl_dram[dev].write_buffered(vline.base_addr(), arr.at);
+                    self.writeback_cxl(host, vline, now);
                 }
                 self.devdir.remove(vline);
             }
@@ -1919,43 +1837,6 @@ impl System {
         for l1 in &mut self.hosts[hi].l1 {
             if let Some(m) = l1.peek_mut(line) {
                 m.dirty = false;
-            }
-        }
-    }
-
-    /// Handles a device-directory capacity recall: the victim entry's
-    /// holders are invalidated (with dirty writeback).
-    fn handle_recall(&mut self, recall: Recall, now: Cycle) {
-        self.stats.directory_recalls += 1;
-        match recall.state {
-            DevState::Modified(owner) => {
-                let dirty = self.hosts[owner.index()]
-                    .llc
-                    .peek(recall.line)
-                    .map(|m| m.dirty)
-                    .unwrap_or(false);
-                if let Some(o) = self.oracle.as_mut() {
-                    o.evict_to_cxl(owner.index(), recall.line);
-                }
-                self.invalidate_host_line(owner.index(), recall.line);
-                if dirty {
-                    let dev = self.fabric.device_for_line(recall.line);
-                    let arr = self
-                        .fabric
-                        .send(owner, dev, Dir::ToDevice, now, DATA_MSG, false);
-                    self.cxl_dram[dev].write_buffered(recall.line.base_addr(), arr.at);
-                }
-            }
-            DevState::Shared(set) => {
-                for h in set.iter() {
-                    if let Some(o) = self.oracle.as_mut() {
-                        o.drop_cached(h.index(), recall.line);
-                    }
-                    self.invalidate_host_line(h.index(), recall.line);
-                    let dev = self.fabric.device_for_line(recall.line);
-                    self.fabric
-                        .send(h, dev, Dir::ToHost, now, self.fabric.header_bytes(), false);
-                }
             }
         }
     }
@@ -2103,8 +1984,6 @@ impl System {
         self.promo_scratch = promos_per_host;
     }
 
-    /// Removes all cached lines of `page` from host `hi` (migration
-    /// shootdown).
     /// Demotes a kernel-resident page from `owner` back to CXL DRAM:
     /// cached copies flush into local DRAM, then the whole page travels
     /// local → CXL with a bulk transfer.
@@ -2123,28 +2002,18 @@ impl System {
             }
         }
         self.flush_page(oi, page);
-        let t = self.hosts[oi]
-            .dram
-            .bulk_transfer(page.base_addr(), now, PAGE_SIZE);
-        let dev = self.fabric.device_for_page(page);
-        let arr = self
-            .fabric
-            .send(owner, dev, Dir::ToDevice, t, PAGE_SIZE, true);
-        self.cxl_dram[dev].bulk_transfer(page.base_addr(), arr.at, PAGE_SIZE);
+        self.migrate_to_cxl(owner, page, PAGE_SIZE, now);
         self.page_location.remove(page);
         k.harm.on_demote(page);
         self.hosts[oi].resident_pages = self.hosts[oi].resident_pages.saturating_sub(1);
         self.stats.migration.pages_demoted += 1;
-        self.stats.migration.transfer_bytes += PAGE_SIZE;
     }
 
+    /// Removes all cached lines of `page` from host `hi` (migration
+    /// shootdown).
     fn flush_page(&mut self, hi: usize, page: PageNum) {
         for i in 0..LINES_PER_PAGE as usize {
-            let line = page.line(i);
-            self.hosts[hi].llc.invalidate(line);
-            for l1 in &mut self.hosts[hi].l1 {
-                l1.invalidate(line);
-            }
+            self.invalidate_host_line(hi, page.line(i));
         }
     }
 }

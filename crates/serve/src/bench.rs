@@ -35,7 +35,8 @@ use std::time::{Duration, Instant};
 pub const OPEN_LOOP_MODE: &str = "open-loop";
 
 /// The SplitMix64 generator: tiny, fast, and plenty for arrival
-/// schedules (the simulator's own RNG needs live in `pipm-core`; this
+/// schedules and the `report ab` permutation test's Monte Carlo
+/// resamples (the simulator's own RNG needs live in `pipm-core`; this
 /// one never touches simulation results).
 pub struct SplitMix64 {
     state: u64,

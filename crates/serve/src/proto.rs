@@ -34,7 +34,7 @@
 
 use crate::json::Json;
 use pipm_core::{fingerprint64, job_key, CfgDelta, RunResult};
-use pipm_types::{AccessClass, SchemeKind, SystemConfig};
+use pipm_types::{SchemeKind, SystemConfig};
 use pipm_workloads::{Workload, WorkloadParams};
 
 /// Machine-matchable error kinds carried in `error.kind`.
@@ -534,13 +534,6 @@ fn apply_override(cfg: &mut SystemConfig, key: &str, value: &Json) -> Result<(),
 /// cfg, despite different statistics.
 pub fn encode_result(r: &RunResult, params: &WorkloadParams, key: &str) -> Json {
     let s = &r.stats;
-    let lr_total = s.local_remap_hits + s.local_remap_misses;
-    let gr_total = s.global_remap_hits + s.global_remap_misses;
-    let interhost_stall: u64 = s
-        .cores
-        .iter()
-        .map(|c| c.class_stall[AccessClass::InterHost.index()])
-        .sum();
     let fingerprint = fingerprint64(key);
     Json::Obj(vec![
         ("workload".into(), Json::Str(r.workload.label().into())),
@@ -554,7 +547,10 @@ pub fn encode_result(r: &RunResult, params: &WorkloadParams, key: &str) -> Json 
         ("exec_cycles".into(), Json::UInt(s.exec_cycles())),
         ("ipc".into(), Json::Num(s.aggregate_ipc())),
         ("local_hit_rate".into(), Json::Num(s.local_hit_rate())),
-        ("interhost_stall_sum".into(), Json::UInt(interhost_stall)),
+        (
+            "interhost_stall_sum".into(),
+            Json::UInt(s.total_interhost_stall()),
+        ),
         ("mgmt_stall_sum".into(), Json::UInt(s.total_mgmt_stall())),
         (
             "transfer_stall_sum".into(),
@@ -582,19 +578,11 @@ pub fn encode_result(r: &RunResult, params: &WorkloadParams, key: &str) -> Json 
         ),
         (
             "local_remap_hit_rate".into(),
-            Json::Num(if lr_total == 0 {
-                0.0
-            } else {
-                s.local_remap_hits as f64 / lr_total as f64
-            }),
+            Json::Num(s.local_remap_hit_rate()),
         ),
         (
             "global_remap_hit_rate".into(),
-            Json::Num(if gr_total == 0 {
-                0.0
-            } else {
-                s.global_remap_hits as f64 / gr_total as f64
-            }),
+            Json::Num(s.global_remap_hit_rate()),
         ),
     ])
 }

@@ -273,12 +273,28 @@ impl SystemStats {
         if reference_cycles == 0 {
             return 0.0;
         }
-        let stall: u64 = self
-            .cores
+        self.total_interhost_stall() as f64 / (reference_cycles as f64 * self.cores.len() as f64)
+    }
+
+    /// Total stall cycles caused by inter-host accesses across cores (the
+    /// Fig. 12 numerator).
+    pub fn total_interhost_stall(&self) -> Cycle {
+        self.cores
             .iter()
             .map(|c| c.class_stall[AccessClass::InterHost.index()])
-            .sum();
-        stall as f64 / (reference_cycles as f64 * self.cores.len() as f64)
+            .sum()
+    }
+
+    /// Hit rate of the hosts' local remapping caches (PIPM; 0 when never
+    /// probed).
+    pub fn local_remap_hit_rate(&self) -> f64 {
+        hit_rate(self.local_remap_hits, self.local_remap_misses)
+    }
+
+    /// Hit rate of the device's global remapping cache (PIPM; 0 when
+    /// never probed).
+    pub fn global_remap_hit_rate(&self) -> f64 {
+        hit_rate(self.global_remap_hits, self.global_remap_misses)
     }
 
     /// Total migration-management stall cycles across cores.
@@ -325,6 +341,16 @@ impl SystemStats {
     }
 }
 
+/// `hits / (hits + misses)`, or 0 with no probes.
+fn hit_rate(hits: u64, misses: u64) -> f64 {
+    let total = hits + misses;
+    if total == 0 {
+        0.0
+    } else {
+        hits as f64 / total as f64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,6 +387,28 @@ mod tests {
         sys.cores[0].record_access(AccessClass::InterHost, 1200);
         sys.cores[0].record_access(AccessClass::LocalPrivate, 60); // excluded
         assert!((sys.local_hit_rate() - 1.0 / 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn remap_hit_rates_guard_zero() {
+        let mut sys = SystemStats::new(1, 1);
+        assert_eq!(sys.local_remap_hit_rate(), 0.0);
+        assert_eq!(sys.global_remap_hit_rate(), 0.0);
+        sys.local_remap_hits = 3;
+        sys.local_remap_misses = 1;
+        sys.global_remap_misses = 2;
+        assert!((sys.local_remap_hit_rate() - 0.75).abs() < 1e-9);
+        assert_eq!(sys.global_remap_hit_rate(), 0.0);
+    }
+
+    #[test]
+    fn interhost_stall_sums_cores() {
+        let mut sys = SystemStats::new(2, 1);
+        sys.cores[0].record_stall(AccessClass::InterHost, 30);
+        sys.cores[1].record_stall(AccessClass::InterHost, 10);
+        sys.cores[1].record_stall(AccessClass::CxlDram, 99); // excluded
+        assert_eq!(sys.total_interhost_stall(), 40);
+        assert!((sys.interhost_stall_fraction(20) - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Self-test of the differential harness: with the `fault-inject`
 //! feature, the simulator deliberately skips the invalidation of one
 //! sharer on every shared-line write (a classic lost-invalidation
-//! coherence bug). The oracle and/or inline invariants must catch it —
-//! otherwise the harness itself is broken and every "clean" result in
-//! `fuzz_harness.rs` is meaningless.
+//! coherence bug). The mutation lives in the one sharer-invalidation
+//! helper, so it covers both a write miss to a Shared line and the S→M
+//! upgrade of a cached copy. The oracle and/or inline invariants must
+//! catch it — otherwise the harness itself is broken and every "clean"
+//! result in `fuzz_harness.rs` is meaningless.
 //!
 //! Build and run with:
 //! `cargo test -p pipm-integration-tests --features fault-inject --test fault_injection`
