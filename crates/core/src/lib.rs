@@ -45,7 +45,6 @@
 
 pub mod cache;
 pub mod harm;
-pub mod hints;
 mod oracle;
 pub mod remap;
 mod runner;
@@ -55,7 +54,6 @@ pub use cache::{
     fingerprint64, job_key, sweep_prefix, RunCache, RunCacheStats, SWEEP_WARMUP_FRACTION,
 };
 pub use harm::HarmTracker;
-pub use hints::MigrationHints;
 pub use oracle::OracleViolation;
 pub use remap::{GlobalEntry, GlobalRemap, LocalEntry, LocalRemap, LookupResult};
 pub use runner::{
@@ -277,57 +275,6 @@ mod tests {
             let _ = sys.run(streams, params.refs_per_core);
             sys.check_consistency().unwrap();
         }
-    }
-
-    #[test]
-    fn pinned_pages_never_migrate() {
-        let params = WorkloadParams {
-            refs_per_core: 20_000,
-            seed: 8,
-        };
-        let mut cfg = small_cfg();
-        let streams = Workload::Pr.streams(&mut cfg, &params);
-        let mut sys = System::new(cfg.clone(), SchemeKind::Pipm);
-        let mut hints = MigrationHints::new();
-        for page in 0..cfg.shared_pages() {
-            hints.pin_to_cxl(pipm_types::PageNum::new(page));
-        }
-        sys.set_hints(hints);
-        let stats = sys.run(streams, params.refs_per_core);
-        assert_eq!(
-            stats.migration.pages_promoted, 0,
-            "pinned pages must never migrate"
-        );
-    }
-
-    #[test]
-    fn preferred_pages_migrate_without_vote() {
-        // Preferring every page for its partition's host migrates at least
-        // as many pages as the pure vote does, without correctness loss.
-        let params = WorkloadParams {
-            refs_per_core: 20_000,
-            seed: 8,
-        };
-        let baseline = run_one(Workload::Pr, SchemeKind::Pipm, small_cfg(), &params);
-        let mut cfg = small_cfg();
-        let streams = Workload::Pr.streams(&mut cfg, &params);
-        let mut sys = System::new(cfg.clone(), SchemeKind::Pipm);
-        let mut hints = MigrationHints::new();
-        let pages_per_host = cfg.shared_pages() / cfg.hosts as u64;
-        for page in 0..cfg.shared_pages() {
-            let host =
-                pipm_types::HostId::new(((page / pages_per_host) as usize).min(cfg.hosts - 1));
-            hints.prefer(pipm_types::PageNum::new(page), host);
-        }
-        sys.set_hints(hints);
-        let stats = sys.run(streams, params.refs_per_core);
-        assert!(
-            stats.migration.pages_promoted >= baseline.stats.migration.pages_promoted,
-            "hints must accelerate migration ({} vs {})",
-            stats.migration.pages_promoted,
-            baseline.stats.migration.pages_promoted
-        );
-        sys.check_consistency().unwrap();
     }
 
     #[test]

@@ -150,8 +150,6 @@ pub struct System {
     /// Reusable per-host promotion-count scratch, so the kernel outcome
     /// path allocates nothing per interval.
     promo_scratch: Vec<u64>,
-    /// Application-supplied placement hints (paper §6), PIPM only.
-    hints: crate::MigrationHints,
     /// Differential correctness oracle (harness mode only; `None` in
     /// ordinary runs — zero overhead, zero behavioural impact).
     oracle: Option<Oracle>,
@@ -291,7 +289,6 @@ impl System {
             warmup_instr: vec![0; total_cores],
             page_location: PageTable::new(),
             promo_scratch: Vec::new(),
-            hints: crate::MigrationHints::new(),
             oracle: None,
             invariant_epochs: 0,
             invariant_failures: Vec::new(),
@@ -330,12 +327,6 @@ impl System {
     /// The scheme being simulated.
     pub fn scheme(&self) -> SchemeKind {
         self.kind
-    }
-
-    /// Installs application placement hints (paper §6). Effective for the
-    /// PIPM scheme only; advisory — hints never affect correctness.
-    pub fn set_hints(&mut self, hints: crate::MigrationHints) {
-        self.hints = hints;
     }
 
     /// The configuration in force.
@@ -1125,13 +1116,12 @@ impl System {
                 );
             }
             let threshold = self.cfg.pipm.migration_threshold;
-            if global.current(page).is_none() && !self.hints.is_pinned(page) {
-                let preferred = self.hints.preferred(page) == Some(host);
-                let vote_fired = global.vote(page, host, threshold);
-                if (preferred || vote_fired) && self.hosts[hi].remap.initiate(page, threshold) {
-                    global.set_current(page, host);
-                    self.stats.migration.pages_promoted += 1;
-                }
+            if global.current(page).is_none()
+                && global.vote(page, host, threshold)
+                && self.hosts[hi].remap.initiate(page, threshold)
+            {
+                global.set_current(page, host);
+                self.stats.migration.pages_promoted += 1;
             }
         }
 

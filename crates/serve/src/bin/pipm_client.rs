@@ -26,9 +26,8 @@
 //! `sweep ...` row each — the saturation sweep CI uploads as an
 //! artifact.
 //!
-//! The read timeout defaults to 600 s; override with `--timeout-secs N`
-//! or the `PIPM_CLIENT_TIMEOUT_SECS` environment variable (the flag
-//! wins; `0` disables the timeout entirely).
+//! The read timeout defaults to 600 s; override it with
+//! `--timeout-secs N` (`0` disables the timeout entirely).
 
 use pipm_serve::bench::{run_open_loop, saturation_sweep, OpenLoopConfig};
 use pipm_serve::client::{Client, DEFAULT_READ_TIMEOUT};
@@ -61,26 +60,9 @@ fn usage() -> ! {
          \x20  whatif only: --delta KEY=VALUE (repeatable; late-binding cfg keys)\n\
          \x20  bench only:  [--rate RPS] [--requests N] [--bench-seed N]\n\
          \x20               [--max-inflight N] [--sweep R1,R2,...]   (open loop)\n\
-         \x20  --timeout-secs N  read timeout (default 600, 0 = none;\n\
-         \x20                    env PIPM_CLIENT_TIMEOUT_SECS)"
+         \x20  --timeout-secs N  read timeout (default 600, 0 = none)"
     );
     std::process::exit(2);
-}
-
-/// Resolves the read timeout: `--timeout-secs` beats
-/// `PIPM_CLIENT_TIMEOUT_SECS` beats the 600 s default; `0` means no
-/// timeout at all (block until the daemon answers).
-fn resolve_timeout(flag: Option<u64>) -> Option<Duration> {
-    let secs = flag.or_else(|| {
-        std::env::var("PIPM_CLIENT_TIMEOUT_SECS")
-            .ok()
-            .and_then(|v| v.trim().parse().ok())
-    });
-    match secs {
-        None => Some(DEFAULT_READ_TIMEOUT),
-        Some(0) => None,
-        Some(s) => Some(Duration::from_secs(s)),
-    }
 }
 
 fn parse_args() -> Args {
@@ -97,9 +79,8 @@ fn parse_args() -> Args {
         bench_seed: 41,
         max_inflight: 32,
         sweep: Vec::new(),
-        timeout: None,
+        timeout: Some(DEFAULT_READ_TIMEOUT),
     };
-    let mut timeout_flag: Option<u64> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |name: &str| -> String {
@@ -128,7 +109,11 @@ fn parse_args() -> Args {
                     .collect()
             }
             "--timeout-secs" => {
-                timeout_flag = Some(parse_num(&value("--timeout-secs"), "--timeout-secs"));
+                // `0` means no timeout: block until the daemon answers.
+                parsed.timeout = match parse_num(&value("--timeout-secs"), "--timeout-secs") {
+                    0 => None,
+                    secs => Some(Duration::from_secs(secs)),
+                }
             }
             "--help" | "-h" => usage(),
             cmd if parsed.cmd.is_empty() && !cmd.starts_with('-') => parsed.cmd = cmd.to_string(),
@@ -141,7 +126,6 @@ fn parse_args() -> Args {
     if parsed.cmd.is_empty() {
         usage()
     }
-    parsed.timeout = resolve_timeout(timeout_flag);
     parsed
 }
 

@@ -31,8 +31,7 @@ impl Client {
     }
 
     /// Connects with an explicit read timeout; `None` blocks forever.
-    /// The `pipm-client` binary wires `--timeout-secs` (or the
-    /// `PIPM_CLIENT_TIMEOUT_SECS` environment variable) through here, so
+    /// The `pipm-client` binary wires `--timeout-secs` through here, so
     /// batches slower than the default 600 s no longer kill the client
     /// mid-wait, and impatient scripts can fail fast.
     ///

@@ -13,17 +13,14 @@
 //! and stats-parity tests); the stable seed just makes any such bug
 //! reproducible instead of flaky.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A `HashMap` keyed with [`FxHasher`]. Drop-in for `std::HashMap` via
 /// `FxHashMap::default()`.
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
-/// A `HashSet` keyed with [`FxHasher`].
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
-
-/// Builds [`FxHasher`]s; the `BuildHasher` for [`FxHashMap`]/[`FxHashSet`].
+/// Builds [`FxHasher`]s; the `BuildHasher` for [`FxHashMap`].
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// The odd constant from the original Firefox implementation:
@@ -117,7 +114,7 @@ mod tests {
     fn distinct_keys_distinct_hashes() {
         // Not a collision-resistance claim — just a smoke test that the
         // mixer actually mixes for the key shapes the simulator uses.
-        let mut s: FxHashSet<u64> = FxHashSet::default();
+        let mut s = std::collections::HashSet::new();
         for i in 0..10_000u64 {
             let mut h = FxHasher::default();
             h.write_u64(i);

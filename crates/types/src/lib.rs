@@ -44,7 +44,7 @@ pub use config::{
     CacheConfig, CoreConfig, CxlConfig, DirectoryConfig, DramConfig, MigrationCostConfig,
     PipmConfig, SystemConfig,
 };
-pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use hash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use ids::{CoreId, HostId, HostSet};
 pub use scheme::SchemeKind;
 pub use stats::{AccessClass, CoreStats, FabricStats, MigrationStats, SystemStats};

@@ -3,7 +3,7 @@
 //! A [`FuzzSpec`] is a small, fully-integer description of an adversarial
 //! multi-host trace. It is built from plain unsigned draws (so the
 //! proptest shim can shrink it dimension by dimension) and lowered onto
-//! the existing [`Spec`]/[`SyntheticStream`] machinery, which keeps the
+//! the same synthetic-stream generator the workloads use, which keeps the
 //! fuzzer deterministic per seed and bit-identical across worker counts.
 //!
 //! Three access patterns target the protocol paths where migration bugs
@@ -133,7 +133,7 @@ impl FuzzSpec {
     ///
     /// Starts from the YCSB spec (the weakest-affinity Table 1 workload)
     /// and overrides the knobs each pattern stresses.
-    pub fn to_spec(&self, cfg: &SystemConfig) -> Spec {
+    pub(crate) fn to_spec(self, cfg: &SystemConfig) -> Spec {
         let footprint = self.pages_per_host * PAGE_SIZE * cfg.hosts as u64;
         let write_fraction = self.write_pct as f64 / 100.0;
         let global_hot_prob = self.hot_pct as f64 / 100.0;

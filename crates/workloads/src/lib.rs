@@ -36,18 +36,13 @@
 #![warn(missing_docs)]
 
 pub mod fuzz;
-pub mod phases;
 mod spec;
 mod stream;
-pub mod tenants;
 mod zipf;
 
 pub use fuzz::{FuzzPattern, FuzzSpec};
-pub use phases::{Phase, PhasedStream, PhasedWorkload};
-pub use spec::{Spec, Workload, WorkloadParams};
-pub use stream::SyntheticStream;
-pub use tenants::{TenantMix, TenantStream};
-pub use zipf::Zipfian;
+pub use spec::{Workload, WorkloadParams};
+use stream::SyntheticStream;
 
 use pipm_cpu::AccessStream;
 use pipm_types::{CoreId, HostId, SystemConfig};

@@ -70,7 +70,7 @@ impl Default for WorkloadParams {
 ///
 /// [`SyntheticStream`]: crate::SyntheticStream
 #[derive(Clone, PartialEq, Debug)]
-pub struct Spec {
+pub(crate) struct Spec {
     /// Which workload this spec models.
     pub kind: Workload,
     /// Scaled shared footprint in bytes (paper footprint ÷ 512).
@@ -226,7 +226,7 @@ impl Workload {
     /// PARSEC codes range from streaming (streamcluster) to random
     /// read-modify-write (canneal); the databases are zipfian with weak
     /// host affinity and heavier writes.
-    pub fn spec(self) -> Spec {
+    pub(crate) fn spec(self) -> Spec {
         let footprint = self.scaled_footprint_bytes();
         let base = Spec {
             kind: self,

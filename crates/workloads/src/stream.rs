@@ -21,7 +21,7 @@ fn scramble(x: u64) -> u64 {
 /// A deterministic per-core trace generator. See the crate docs for the
 /// modelled behaviours; construction parameters come from a [`Spec`].
 #[derive(Clone, Debug)]
-pub struct SyntheticStream {
+pub(crate) struct SyntheticStream {
     spec: Spec,
     rng: SmallRng,
     remaining: u64,
@@ -54,7 +54,7 @@ impl SyntheticStream {
     /// # Panics
     ///
     /// Panics if the spec footprint is smaller than one page per host.
-    pub fn new(spec: Spec, cfg: &SystemConfig, id: CoreId, refs: u64, seed: u64) -> Self {
+    pub(crate) fn new(spec: Spec, cfg: &SystemConfig, id: CoreId, refs: u64, seed: u64) -> Self {
         let total_lines = spec.footprint_bytes / LINE_SIZE;
         let part_lines = total_lines / cfg.hosts as u64;
         assert!(part_lines >= 64, "footprint too small for host count");
@@ -197,11 +197,6 @@ impl SyntheticStream {
         // workloads (scans and secondary lookups); zipf skew applies within
         // the accessing host's own partition.
         self.rng.gen_range(0..self.total_lines)
-    }
-
-    /// Total records produced so far.
-    pub fn generated(&self) -> u64 {
-        self.generated
     }
 }
 

@@ -27,7 +27,7 @@ struct ZetaCache {
 /// Ranks are *not* scrambled here; callers hash the rank to scatter hot
 /// items across the address space.
 #[derive(Clone, Debug)]
-pub struct Zipfian {
+pub(crate) struct Zipfian {
     n: u64,
     alpha: f64,
     zetan: f64,
@@ -143,11 +143,6 @@ impl Zipfian {
             sum += (theta / 12.0) * (f_lo / lo - f_hi / hi);
         }
         sum
-    }
-
-    /// Number of ranks in the domain.
-    pub fn domain(&self) -> u64 {
-        self.n
     }
 
     /// Draws a rank in `0..n`; rank 0 is the hottest.

@@ -3,30 +3,44 @@
 //! without migration), and Local-only. Used for model calibration.
 //!
 //! ```text
-//! WL=PR REFS=400000 [FULL=1] cargo run --release -p pipm-examples --bin diag
+//! cargo run --release -p pipm-examples --bin diag -- [WORKLOAD] [REFS] [--full]
 //! ```
-//! `FULL=1` selects the verbatim Table 2 cache sizes instead of the
-//! experiment scale.
+//! `WORKLOAD` defaults to PR and `REFS` (references per core) to 60 000.
+//! `--full` selects the verbatim Table 2 cache sizes instead of the
+//! experiment scale. A bad argument prints the usage line and exits 2.
 
 use pipm_core::System;
 use pipm_types::{AccessClass, SchemeKind, SystemConfig};
 use pipm_workloads::{Workload, WorkloadParams};
 
+fn usage() -> ! {
+    eprintln!("usage: diag [WORKLOAD] [REFS] [--full]");
+    std::process::exit(2);
+}
+
 fn main() {
-    let refs: u64 = std::env::var("REFS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(60_000);
-    let wl: pipm_workloads::Workload = std::env::var("WL")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(Workload::Pr);
+    let mut wl = Workload::Pr;
+    let mut refs: u64 = 60_000;
+    let mut full = false;
+    let mut positional = 0;
+    for arg in std::env::args().skip(1) {
+        if arg == "--full" {
+            full = true;
+            continue;
+        }
+        match positional {
+            0 => wl = arg.parse().unwrap_or_else(|_| usage()),
+            1 => refs = arg.parse().unwrap_or_else(|_| usage()),
+            _ => usage(),
+        }
+        positional += 1;
+    }
     let params = WorkloadParams {
         refs_per_core: refs,
         seed: 5,
     };
     let mut cfg = SystemConfig::default();
-    if std::env::var("FULL").is_err() {
+    if !full {
         cfg.l1d.capacity_bytes = 16 << 10;
         cfg.llc_per_core.capacity_bytes = 256 << 10;
     }

@@ -1,20 +1,20 @@
-//! Rack-scale topology + multi-tenant phased workloads: end-to-end
-//! integration locks.
+//! Rack-scale topology: end-to-end integration locks.
 //!
-//! Three contracts (DESIGN.md "Rack-scale topology & multi-tenant
-//! workloads"):
+//! Three contracts (DESIGN.md "Rack-scale topology"):
 //!
 //! 1. Multi-device and switched topologies actually route traffic —
 //!    every device plane sees messages, and a switched graph accrues
-//!    switch hops — under every scheme.
-//! 2. Phased and multi-tenant workload streams are deterministic: same
-//!    seed ⇒ bit-identical `SystemStats`, independent of worker fan-out.
-//! 3. Both compose with checkpoint/fork: a forked warm prefix resumes to
-//!    statistics bit-identical to an uninterrupted run.
+//!    switch hops — under every scheme; the switch's forward latency
+//!    costs cycles.
+//! 2. Rack runs are deterministic: same seed ⇒ bit-identical
+//!    `SystemStats`.
+//! 3. Racks compose with checkpoint/fork: on a multi-device and on a
+//!    switched rack, a warm prefix and a cloned fork of it each resume
+//!    to statistics bit-identical to an uninterrupted run.
 
 use pipm_core::System;
 use pipm_types::{SchemeKind, SystemConfig, SystemStats, TopologySpec};
-use pipm_workloads::{PhasedWorkload, TenantMix, Workload, WorkloadParams};
+use pipm_workloads::{Workload, WorkloadParams};
 
 const REFS_PER_CORE: u64 = 5_000;
 const SEED: u64 = 23;
@@ -113,74 +113,51 @@ fn multi_device_runs_are_deterministic() {
     assert_eq!(run(), run(), "same seed must reproduce bit-identically");
 }
 
-// ── Phased workloads ────────────────────────────────────────────────
-
-fn run_phased(scheme: SchemeKind, topo: TopologySpec) -> SystemStats {
-    let mut cfg = SystemConfig::default();
-    cfg.apply_topology(topo);
-    let streams = PhasedWorkload::standard(Workload::Pr).streams(&mut cfg, &params());
-    System::new(cfg, scheme).run(streams, REFS_PER_CORE)
-}
-
-#[test]
-fn phased_runs_are_deterministic() {
-    let base = run_phased(SchemeKind::Pipm, TopologySpec::single_device(4));
-    let again = run_phased(SchemeKind::Pipm, TopologySpec::single_device(4));
-    assert_eq!(base, again, "same seed must reproduce bit-identically");
-}
-
-#[test]
-fn phased_checkpoint_fork_matches_uninterrupted_run() {
-    let topo = TopologySpec::multi_headed(4, 2);
-    let uninterrupted = run_phased(SchemeKind::Pipm, topo.clone());
+/// Runs `w` under `scheme` on `topo` three ways — uninterrupted, as a
+/// warm prefix resumed in place, and as a cloned fork of that prefix —
+/// and asserts all three yield bit-identical statistics.
+///
+/// `tests/checkpoint.rs` forks on the single-device rack only; these
+/// cover a multi-device plane split and a switched fabric.
+fn assert_checkpoint_fork_matches(w: Workload, scheme: SchemeKind, topo: TopologySpec) {
+    let uninterrupted = run_with_topology(w, scheme, topo.clone());
 
     let mut cfg = SystemConfig::default();
     cfg.apply_topology(topo);
-    let streams = PhasedWorkload::standard(Workload::Pr).streams(&mut cfg, &params());
+    let streams = w.streams(&mut cfg, &params());
     let prefix = (cfg.warmup_fraction * (REFS_PER_CORE * cfg.total_cores() as u64) as f64) as u64;
-    let ckpt = System::new(cfg, SchemeKind::Pipm).run_prefix(streams, REFS_PER_CORE, prefix);
+    let ckpt = System::new(cfg, scheme).run_prefix(streams, REFS_PER_CORE, prefix);
     let fork = ckpt.clone();
     assert_eq!(
         ckpt.resume(),
         uninterrupted,
-        "checkpoint round-trip must be invisible for phased streams"
+        "{w:?}/{scheme:?}: checkpoint round-trip must be invisible"
     );
     assert_eq!(
         fork.resume(),
         uninterrupted,
-        "a forked checkpoint must resume identically"
+        "{w:?}/{scheme:?}: a forked checkpoint must resume identically"
     );
 }
 
-// ── Multi-tenant mixes ──────────────────────────────────────────────
-
-fn run_tenants(scheme: SchemeKind, topo: TopologySpec) -> SystemStats {
-    let mut cfg = SystemConfig::default();
-    cfg.apply_topology(topo);
-    let streams = TenantMix::graph_plus_db().streams(&mut cfg, &params());
-    System::new(cfg, scheme).run(streams, REFS_PER_CORE)
-}
-
 #[test]
-fn tenant_mix_runs_deterministically_on_a_rack() {
-    let topo = TopologySpec::switched(4, 2, 25.0);
-    let a = run_tenants(SchemeKind::Pipm, topo.clone());
-    let b = run_tenants(SchemeKind::Pipm, topo);
-    assert_eq!(a, b, "tenant mixes must be deterministic");
-    assert!(a.fabric.switch_hops > 0);
-    assert!(a.fabric.device_messages.iter().all(|&m| m > 0));
+fn phased_checkpoint_fork_matches_uninterrupted_run() {
+    // Multi-device rack under PIPM, whose partial/incremental migration
+    // state (remap tables, votes) must survive the checkpoint.
+    assert_checkpoint_fork_matches(
+        Workload::Pr,
+        SchemeKind::Pipm,
+        TopologySpec::multi_headed(4, 2),
+    );
 }
 
 #[test]
 fn tenant_checkpoint_fork_matches_uninterrupted_run() {
-    let uninterrupted = run_tenants(SchemeKind::Memtis, TopologySpec::single_device(4));
-
-    let mut cfg = SystemConfig::default();
-    cfg.apply_topology(TopologySpec::single_device(4));
-    let streams = TenantMix::graph_plus_db().streams(&mut cfg, &params());
-    let prefix = (cfg.warmup_fraction * (REFS_PER_CORE * cfg.total_cores() as u64) as f64) as u64;
-    let ckpt = System::new(cfg, SchemeKind::Memtis).run_prefix(streams, REFS_PER_CORE, prefix);
-    let fork = ckpt.clone();
-    assert_eq!(ckpt.resume(), uninterrupted);
-    assert_eq!(fork.resume(), uninterrupted);
+    // Switched rack under Memtis, whose sampled hotness state must
+    // survive the checkpoint.
+    assert_checkpoint_fork_matches(
+        Workload::Ycsb,
+        SchemeKind::Memtis,
+        TopologySpec::switched(4, 2, 25.0),
+    );
 }
