@@ -14,6 +14,11 @@
 //! directory recalls — and asserts that each variant really takes its
 //! path, so a refactor of the miss, eviction and recall code cannot drift
 //! unnoticed there either.
+//!
+//! A third table, [`GOLDEN_KERNEL`], locks kernel page migration where
+//! it actually demotes: the [`GOLDEN`] jobs promote a few dozen pages and
+//! never demote one, so a short interval and an 8-page local capacity
+//! drive idle demotions, capacity evictions and a full local memory.
 
 use pipm_core::{par_map, run_one, RunResult};
 use pipm_types::{SchemeKind, SystemConfig, SystemStats};
@@ -341,9 +346,70 @@ fn golden_fingerprints_rare_paths() {
     }
 }
 
-/// Regenerates both golden tables. Ignored: run manually when simulation
-/// behavior changes intentionally, then paste the output into `GOLDEN`
-/// and the [`GOLDEN_PATHS`] tables.
+/// The kernel-migration schemes [`GOLDEN_KERNEL`] covers.
+const KERNEL_SCHEMES: [SchemeKind; 4] = [
+    SchemeKind::Nomad,
+    SchemeKind::Memtis,
+    SchemeKind::Hemem,
+    SchemeKind::OsSkew,
+];
+
+/// Local capacity of the [`GOLDEN_KERNEL`] jobs: 8 pages per host.
+const KERNEL_CAPACITY_BYTES: u64 = 32 << 10;
+
+/// `experiment_scale()` with 50 k-cycle migration intervals and an 8-page
+/// local memory, so the kernel schemes demote within 20 k references.
+fn kernel_config() -> SystemConfig {
+    let mut cfg = SystemConfig::experiment_scale();
+    cfg.migration_interval_cycles = 50_000;
+    cfg.local_capacity_bytes = KERNEL_CAPACITY_BYTES;
+    cfg
+}
+
+/// Golden [`fingerprint`] values of the [`kernel_config`] jobs, in
+/// `WORKLOADS` × `KERNEL_SCHEMES` order. Regenerate with `cargo test -q -p
+/// pipm-integration-tests --release --test stats_parity -- --ignored
+/// --nocapture` only when simulation behavior is *intentionally* changed.
+const GOLDEN_KERNEL: [(Workload, SchemeKind, u64); 8] = [
+    (Workload::Bfs, SchemeKind::Nomad, 0xf4a9a0dabab21f0c),
+    (Workload::Bfs, SchemeKind::Memtis, 0x971602e76f3f6d53),
+    (Workload::Bfs, SchemeKind::Hemem, 0x34e3c075eaaddfd7),
+    (Workload::Bfs, SchemeKind::OsSkew, 0x26801ecc1010c672),
+    (Workload::Ycsb, SchemeKind::Nomad, 0xc19957deb1c3e057),
+    (Workload::Ycsb, SchemeKind::Memtis, 0x7697a1aeb92908a3),
+    (Workload::Ycsb, SchemeKind::Hemem, 0xb5b3f59f7ea0acb2),
+    (Workload::Ycsb, SchemeKind::OsSkew, 0x33318b587ea314e2),
+];
+
+#[test]
+fn golden_fingerprints_kernel_migration() {
+    let params = WorkloadParams {
+        refs_per_core: REFS_PER_CORE,
+        seed: SEED,
+    };
+    let capacity_pages = KERNEL_CAPACITY_BYTES / pipm_types::PAGE_SIZE;
+    for (w, s, want) in GOLDEN_KERNEL {
+        let stats = run_one(w, s, kernel_config(), &params).stats;
+        let m = &stats.migration;
+        assert!(m.pages_demoted > 0, "{w} under {s}: no page was demoted");
+        let peak = m.peak_resident_pages.iter().copied().max().unwrap_or(0);
+        if w == Workload::Ycsb && matches!(s, SchemeKind::Nomad | SchemeKind::OsSkew) {
+            assert_eq!(
+                peak, capacity_pages,
+                "{w} under {s}: no host filled its {capacity_pages}-page local memory"
+            );
+        }
+        assert_eq!(
+            fingerprint(&stats),
+            want,
+            "{w} under {s}: SystemStats diverged from the kernel-migration golden"
+        );
+    }
+}
+
+/// Regenerates the golden tables. Ignored: run manually when simulation
+/// behavior changes intentionally, then paste the output into `GOLDEN`,
+/// the [`GOLDEN_PATHS`] tables and [`GOLDEN_KERNEL`].
 #[test]
 #[ignore]
 fn print_golden_fingerprints() {
@@ -370,6 +436,18 @@ fn print_golden_fingerprints() {
                     fingerprint_with_fabric(&r.stats)
                 );
             }
+        }
+    }
+    println!("Kernel:");
+    for w in WORKLOADS {
+        for s in KERNEL_SCHEMES {
+            let stats = run_one(w, s, kernel_config(), &params).stats;
+            println!(
+                "    (Workload::{w:?}, SchemeKind::{s:?}, {:#018x}), // demoted {} peak {:?}",
+                fingerprint(&stats),
+                stats.migration.pages_demoted,
+                stats.migration.peak_resident_pages
+            );
         }
     }
 }
