@@ -30,14 +30,21 @@ use std::sync::{Condvar, Mutex};
 /// final third) runs under each point's [`CfgDelta`].
 pub const SWEEP_WARMUP_FRACTION: f64 = 2.0 / 3.0;
 
+/// Version of the simulation model. Bump it in the same change that
+/// alters any simulated statistic (any golden fingerprint of
+/// `tests/stats_parity.rs`): [`job_key`] carries it, so results cached
+/// on disk or served by a node under an older model never match a key
+/// of this one.
+pub const MODEL_VERSION: u32 = 1;
+
 /// Canonical job key: a stable, human-readable encoding of every input
-/// of a job, hence a valid content address (the simulator is
-/// deterministic). It is the only key function: every cache keys on it,
+/// of a job and of the [`MODEL_VERSION`] that computes it, hence a valid
+/// content address (the simulator is deterministic). It is the only key function: every cache keys on it,
 /// and [`Runner::run`](crate::Runner::run) over the same arguments
 /// computes what it addresses.
 ///
 /// `None` keys a full [`run_one`](crate::run_one) under `cfg`
-/// (`job-v1|…`). `Some(d)` keys a checkpointed sweep point, the
+/// (`job-v1|model=N|…`). `Some(d)` keys a checkpointed sweep point, the
 /// [`sweep_prefix`] of `cfg` then the tail under `d` (`sweep-v1|<job-v1
 /// key of the base>|prefix=N|delta=…`), which never aliases a full run
 /// under the delta'd cfg. The cfg enters via its derived `Debug`, which
@@ -51,7 +58,7 @@ pub fn job_key(
 ) -> String {
     let Some(delta) = delta else {
         return format!(
-            "job-v1|{}|{}|refs={}|seed={}|{cfg:?}",
+            "job-v1|model={MODEL_VERSION}|{}|{}|refs={}|seed={}|{cfg:?}",
             workload.label(),
             scheme.label(),
             params.refs_per_core,
@@ -420,9 +427,8 @@ mod tests {
     }
 
     /// The sweep key is the `sweep-v1` wrapper around the plain key of
-    /// the [`sweep_prefix`] base, exactly as every earlier consumer
-    /// formatted it, so disk-cache entries and wire fingerprints written
-    /// before the key moved here still hit.
+    /// the [`sweep_prefix`] base, and the plain key names the
+    /// [`MODEL_VERSION`] first, so a result of another model never hits.
     #[test]
     fn sweep_key_wraps_the_base_key_and_never_aliases_a_full_run() {
         let cfg = SystemConfig::experiment_scale();
@@ -439,6 +445,10 @@ mod tests {
         let prefix = (base.warmup_fraction * (1_500 * base.total_cores() as u64) as f64) as u64;
         assert_eq!(sweep_prefix(&cfg, &params), (base.clone(), prefix));
         let plain = job_key(Workload::Bfs, SchemeKind::Pipm, &base, &params, None);
+        assert_eq!(
+            plain,
+            format!("job-v1|model={MODEL_VERSION}|BFS|PIPM|refs=1500|seed=41|{base:?}")
+        );
         assert_eq!(
             job_key(Workload::Bfs, SchemeKind::Pipm, &cfg, &params, Some(&delta)),
             format!("sweep-v1|{plain}|prefix={prefix}|delta={delta:?}")

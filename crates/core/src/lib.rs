@@ -51,7 +51,8 @@ mod runner;
 mod system;
 
 pub use cache::{
-    fingerprint64, job_key, sweep_prefix, RunCache, RunCacheStats, SWEEP_WARMUP_FRACTION,
+    fingerprint64, job_key, sweep_prefix, RunCache, RunCacheStats, MODEL_VERSION,
+    SWEEP_WARMUP_FRACTION,
 };
 pub use harm::HarmTracker;
 pub use oracle::OracleViolation;

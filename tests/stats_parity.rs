@@ -20,7 +20,7 @@
 //! never demote one, so a short interval and an 8-page local capacity
 //! drive idle demotions, capacity evictions and a full local memory.
 
-use pipm_core::{par_map, run_one, RunResult};
+use pipm_core::{par_map, run_one, RunResult, MODEL_VERSION};
 use pipm_types::{SchemeKind, SystemConfig, SystemStats};
 use pipm_workloads::{Workload, WorkloadParams};
 
@@ -405,6 +405,30 @@ fn golden_fingerprints_kernel_migration() {
             "{w} under {s}: SystemStats diverged from the kernel-migration golden"
         );
     }
+}
+
+/// FNV-1a over every golden fingerprint, paired with the model version
+/// the goldens describe: a golden edit (a change in simulated behaviour)
+/// must come with a [`MODEL_VERSION`] bump, so that no cached result of
+/// the old model is served as a result of the new one.
+const MODEL_GOLDENS: (u32, u64) = (1, 0x7903_881a_a9e7_f9ef);
+
+#[test]
+fn model_version_changes_with_the_goldens() {
+    let mut h = Fnv::new();
+    for &(_, _, v) in GOLDEN
+        .iter()
+        .chain(GOLDEN_PATHS.iter().flat_map(|(_, table)| table.iter()))
+        .chain(GOLDEN_KERNEL.iter())
+    {
+        h.put(v);
+    }
+    assert_eq!(
+        (MODEL_VERSION, h.0),
+        MODEL_GOLDENS,
+        "a golden fingerprint changed: bump pipm_core::MODEL_VERSION and \
+         record the new pair in MODEL_GOLDENS"
+    );
 }
 
 /// Regenerates the golden tables. Ignored: run manually when simulation
