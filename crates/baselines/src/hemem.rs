@@ -159,6 +159,15 @@ mod tests {
     }
 
     #[test]
+    fn first_interval_promotion_is_not_demoted_with_it() {
+        let mut hm = HememPolicy::new(1, 100, 1);
+        hm.record_access(h(0), p(1), false, None);
+        let out = hm.end_interval();
+        assert_eq!(out.promotions, vec![(p(1), h(0))]);
+        assert!(out.demotions.is_empty(), "{out:?}");
+    }
+
+    #[test]
     fn local_touches_keep_page_resident() {
         let mut hm = HememPolicy::new(1, 100, 1);
         hm.record_access(h(0), p(1), false, None);

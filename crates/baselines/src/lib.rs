@@ -197,11 +197,16 @@ impl ResidencyTracker {
         self.resident[host.index()].remove(page).is_some()
     }
 
-    /// Pages at `host` last touched at or before `cutoff` intervals ago,
-    /// in page order (map iteration order must not leak into the
-    /// demotion sequence, which feeds deterministic timing).
+    /// Pages at `host` last touched at least `idle_intervals` intervals
+    /// ago, in page order (map iteration order must not leak into the
+    /// demotion sequence, which feeds deterministic timing). None before
+    /// `idle_intervals` intervals have passed: no page can have been idle
+    /// that long, and a page promoted in this very interval must not be
+    /// demoted in the same outcome.
     pub(crate) fn idle_pages(&self, host: HostId, idle_intervals: u64) -> Vec<PageNum> {
-        let cutoff = self.interval.saturating_sub(idle_intervals);
+        let Some(cutoff) = self.interval.checked_sub(idle_intervals) else {
+            return Vec::new();
+        };
         let mut pages: Vec<PageNum> = self.resident[host.index()]
             .iter()
             .filter(|(_, &t)| t <= cutoff)

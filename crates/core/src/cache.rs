@@ -35,7 +35,7 @@ pub const SWEEP_WARMUP_FRACTION: f64 = 2.0 / 3.0;
 /// `tests/stats_parity.rs`): [`job_key`] carries it, so results cached
 /// on disk or served by a node under an older model never match a key
 /// of this one.
-pub const MODEL_VERSION: u32 = 1;
+pub const MODEL_VERSION: u32 = 2;
 
 /// Canonical job key: a stable, human-readable encoding of every input
 /// of a job and of the [`MODEL_VERSION`] that computes it, hence a valid
