@@ -1,6 +1,6 @@
 //! HeMem: fixed-threshold frequency hotness.
 
-use crate::{HotnessPolicy, IntervalOutcome, ResidencyTracker};
+use crate::{HotnessPolicy, IntervalOutcome, Residency};
 use pipm_types::FxHashMap;
 use pipm_types::{HostId, PageNum, SchemeKind};
 
@@ -13,7 +13,6 @@ use pipm_types::{HostId, PageNum, SchemeKind};
 /// [`IDLE_DEMOTE_INTERVALS`]: HememPolicy::IDLE_DEMOTE_INTERVALS
 #[derive(Clone, Debug)]
 pub struct HememPolicy {
-    tracker: ResidencyTracker,
     threshold: u32,
     budget: usize,
     counters: Vec<FxHashMap<PageNum, u32>>,
@@ -25,10 +24,10 @@ impl HememPolicy {
     /// Default per-interval hot threshold (accesses).
     pub const DEFAULT_THRESHOLD: u32 = 8;
 
-    /// Creates the policy with the given per-interval `threshold`.
-    pub fn new(hosts: usize, capacity_pages: usize, threshold: u32) -> Self {
+    /// Creates the policy for `hosts` hosts with the given per-interval
+    /// `threshold`.
+    pub fn new(hosts: usize, threshold: u32) -> Self {
         HememPolicy {
-            tracker: ResidencyTracker::new(hosts, capacity_pages),
             threshold,
             budget: usize::MAX,
             counters: vec![FxHashMap::default(); hosts],
@@ -59,7 +58,6 @@ impl HotnessPolicy for HememPolicy {
         resident_at: Option<HostId>,
     ) {
         if resident_at == Some(host) {
-            self.tracker.touch(host, page);
             return;
         }
         *self.counters[host.index()].entry(page).or_insert(0) += 1;
@@ -73,38 +71,19 @@ impl HotnessPolicy for HememPolicy {
         Box::new(self.clone())
     }
 
-    fn end_interval(&mut self) -> IntervalOutcome {
-        let mut out = IntervalOutcome::default();
+    fn end_interval(&mut self, residency: &mut Residency) -> IntervalOutcome {
         for hi in 0..self.counters.len() {
             let host = HostId::new(hi);
-            let mut cand: Vec<(PageNum, u32)> = self.counters[hi]
+            let cand: Vec<(PageNum, u32)> = self.counters[hi]
                 .iter()
                 .filter(|(_, &c)| c >= self.threshold)
                 .map(|(&p, &c)| (p, c))
                 .collect();
-            cand.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            let mut promoted = 0;
-            for (page, _) in cand {
-                if promoted >= self.budget {
-                    break;
-                }
-                if self.tracker.is_resident(page) {
-                    continue;
-                }
-                for d in self.tracker.promote(host, page) {
-                    out.demotions.push(d);
-                }
-                out.promotions.push((page, host));
-                promoted += 1;
-            }
-            for page in self.tracker.idle_pages(host, Self::IDLE_DEMOTE_INTERVALS) {
-                self.tracker.demote(host, page);
-                out.demotions.push((page, host));
-            }
+            residency.promote_hottest(host, cand, self.budget);
+            residency.demote_idle(host, Self::IDLE_DEMOTE_INTERVALS);
             self.counters[hi].clear();
         }
-        self.tracker.bump_interval();
-        out
+        residency.end_interval()
     }
 }
 
@@ -122,60 +101,66 @@ mod tests {
 
     #[test]
     fn threshold_gates_promotion() {
-        let mut hm = HememPolicy::new(1, 100, 8);
+        let mut hm = HememPolicy::new(1, 8);
+        let mut r = Residency::new(1, 100);
         for _ in 0..7 {
             hm.record_access(h(0), p(1), false, None);
         }
-        assert!(hm.end_interval().promotions.is_empty());
+        assert!(hm.end_interval(&mut r).promotions.is_empty());
         for _ in 0..8 {
             hm.record_access(h(0), p(1), false, None);
         }
-        assert_eq!(hm.end_interval().promotions, vec![(p(1), h(0))]);
+        assert_eq!(hm.end_interval(&mut r).promotions, vec![(p(1), h(0))]);
     }
 
     #[test]
     fn counters_reset_each_interval() {
-        let mut hm = HememPolicy::new(1, 100, 8);
+        let mut hm = HememPolicy::new(1, 8);
+        let mut r = Residency::new(1, 100);
         for _ in 0..7 {
             hm.record_access(h(0), p(1), false, None);
         }
-        hm.end_interval();
+        hm.end_interval(&mut r);
         // 7 more in the next interval: still below threshold (no carry).
         for _ in 0..7 {
             hm.record_access(h(0), p(1), false, None);
         }
-        assert!(hm.end_interval().promotions.is_empty());
+        assert!(hm.end_interval(&mut r).promotions.is_empty());
     }
 
     #[test]
     fn budget_respected() {
-        let mut hm = HememPolicy::new(1, 100, 1).with_budget(3);
+        let mut hm = HememPolicy::new(1, 1).with_budget(3);
+        let mut r = Residency::new(1, 100);
         for i in 0..10 {
             for _ in 0..5 {
                 hm.record_access(h(0), p(i), false, None);
             }
         }
-        assert_eq!(hm.end_interval().promotions.len(), 3);
+        assert_eq!(hm.end_interval(&mut r).promotions.len(), 3);
     }
 
     #[test]
     fn first_interval_promotion_is_not_demoted_with_it() {
-        let mut hm = HememPolicy::new(1, 100, 1);
+        let mut hm = HememPolicy::new(1, 1);
+        let mut r = Residency::new(1, 100);
         hm.record_access(h(0), p(1), false, None);
-        let out = hm.end_interval();
+        let out = hm.end_interval(&mut r);
         assert_eq!(out.promotions, vec![(p(1), h(0))]);
         assert!(out.demotions.is_empty(), "{out:?}");
     }
 
     #[test]
     fn local_touches_keep_page_resident() {
-        let mut hm = HememPolicy::new(1, 100, 1);
+        let mut hm = HememPolicy::new(1, 1);
+        let mut r = Residency::new(1, 100);
         hm.record_access(h(0), p(1), false, None);
-        hm.end_interval();
+        hm.end_interval(&mut r);
         // resident now; keep touching it as resident.
         for _ in 0..HememPolicy::IDLE_DEMOTE_INTERVALS + 2 {
             hm.record_access(h(0), p(1), false, Some(h(0)));
-            let out = hm.end_interval();
+            r.touch(p(1));
+            let out = hm.end_interval(&mut r);
             assert!(!out.demotions.contains(&(p(1), h(0))));
         }
     }

@@ -1,6 +1,6 @@
 //! Memtis: frequency-based hotness with exponential decay.
 
-use crate::{HotnessPolicy, IntervalOutcome, ResidencyTracker};
+use crate::{HotnessPolicy, IntervalOutcome, Residency};
 use pipm_types::FxHashMap;
 use pipm_types::{HostId, PageNum, SchemeKind};
 
@@ -13,7 +13,6 @@ use pipm_types::{HostId, PageNum, SchemeKind};
 /// [`HOT_THRESHOLD`]: MemtisPolicy::HOT_THRESHOLD
 #[derive(Clone, Debug)]
 pub struct MemtisPolicy {
-    tracker: ResidencyTracker,
     budget: usize,
     /// Per host: decayed per-page access counters.
     counters: Vec<FxHashMap<PageNum, u32>>,
@@ -23,11 +22,10 @@ impl MemtisPolicy {
     /// Minimum (decayed) counter value for a page to be considered hot.
     pub const HOT_THRESHOLD: u32 = 4;
 
-    /// Creates the policy for `hosts` hosts with per-host `capacity_pages`
-    /// and per-interval promotion `budget`.
-    pub fn new(hosts: usize, capacity_pages: usize, budget: usize) -> Self {
+    /// Creates the policy for `hosts` hosts with a per-interval promotion
+    /// `budget`.
+    pub fn new(hosts: usize, budget: usize) -> Self {
         MemtisPolicy {
-            tracker: ResidencyTracker::new(hosts, capacity_pages),
             budget,
             counters: vec![FxHashMap::default(); hosts],
         }
@@ -54,11 +52,8 @@ impl HotnessPolicy for MemtisPolicy {
         host: HostId,
         page: PageNum,
         _is_write: bool,
-        resident_at: Option<HostId>,
+        _resident_at: Option<HostId>,
     ) {
-        if resident_at == Some(host) {
-            self.tracker.touch(host, page);
-        }
         *self.counters[host.index()].entry(page).or_insert(0) += 1;
     }
 
@@ -70,31 +65,15 @@ impl HotnessPolicy for MemtisPolicy {
         Box::new(self.clone())
     }
 
-    fn end_interval(&mut self) -> IntervalOutcome {
-        let mut out = IntervalOutcome::default();
-        let hosts = self.counters.len();
-        for hi in 0..hosts {
+    fn end_interval(&mut self, residency: &mut Residency) -> IntervalOutcome {
+        for hi in 0..self.counters.len() {
             let host = HostId::new(hi);
-            let mut cand: Vec<(PageNum, u32)> = self.counters[hi]
+            let cand: Vec<(PageNum, u32)> = self.counters[hi]
                 .iter()
                 .filter(|(_, &c)| c >= Self::HOT_THRESHOLD)
                 .map(|(&p, &c)| (p, c))
                 .collect();
-            cand.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            let mut promoted = 0;
-            for (page, _) in cand {
-                if promoted >= self.budget {
-                    break;
-                }
-                if self.tracker.is_resident(page) {
-                    continue;
-                }
-                for d in self.tracker.promote(host, page) {
-                    out.demotions.push(d);
-                }
-                out.promotions.push((page, host));
-                promoted += 1;
-            }
+            residency.promote_hottest(host, cand, self.budget);
             // Cool counters and demote fully cooled resident pages.
             let mut cooled_out: Vec<PageNum> = Vec::new();
             self.counters[hi].retain(|&p, c| {
@@ -108,13 +87,10 @@ impl HotnessPolicy for MemtisPolicy {
             });
             cooled_out.sort_unstable(); // decouple from hash-map order
             for page in cooled_out {
-                if self.tracker.demote(host, page) {
-                    out.demotions.push((page, host));
-                }
+                residency.demote(host, page);
             }
         }
-        self.tracker.bump_interval();
-        out
+        residency.end_interval()
     }
 }
 
@@ -132,49 +108,53 @@ mod tests {
 
     #[test]
     fn hot_pages_promoted_hottest_first() {
-        let mut m = MemtisPolicy::new(1, 100, 1);
+        let mut m = MemtisPolicy::new(1, 1);
+        let mut r = Residency::new(1, 100);
         for _ in 0..10 {
             m.record_access(h(0), p(1), false, None);
         }
         for _ in 0..20 {
             m.record_access(h(0), p(2), false, None);
         }
-        let out = m.end_interval();
+        let out = m.end_interval(&mut r);
         assert_eq!(out.promotions, vec![(p(2), h(0))]);
     }
 
     #[test]
     fn cold_pages_not_promoted() {
-        let mut m = MemtisPolicy::new(1, 100, 10);
+        let mut m = MemtisPolicy::new(1, 10);
+        let mut r = Residency::new(1, 100);
         m.record_access(h(0), p(1), false, None); // below threshold
-        let out = m.end_interval();
+        let out = m.end_interval(&mut r);
         assert!(out.promotions.is_empty());
     }
 
     #[test]
     fn counters_decay() {
-        let mut m = MemtisPolicy::new(1, 100, 0);
+        let mut m = MemtisPolicy::new(1, 0);
+        let mut r = Residency::new(1, 100);
         for _ in 0..16 {
             m.record_access(h(0), p(1), false, None);
         }
-        m.end_interval();
+        m.end_interval(&mut r);
         assert_eq!(m.counter(h(0), p(1)), 8);
-        m.end_interval();
+        m.end_interval(&mut r);
         assert_eq!(m.counter(h(0), p(1)), 4);
     }
 
     #[test]
     fn cooled_resident_pages_are_demoted() {
-        let mut m = MemtisPolicy::new(1, 100, 10);
+        let mut m = MemtisPolicy::new(1, 10);
+        let mut r = Residency::new(1, 100);
         for _ in 0..8 {
             m.record_access(h(0), p(1), false, None);
         }
-        let out = m.end_interval();
+        let out = m.end_interval(&mut r);
         assert_eq!(out.promotions.len(), 1);
         // 8 → 4 → 2 → 1 → 0: demoted on the interval the counter hits 0.
         let mut demoted = false;
         for _ in 0..5 {
-            if m.end_interval().demotions.contains(&(p(1), h(0))) {
+            if m.end_interval(&mut r).demotions.contains(&(p(1), h(0))) {
                 demoted = true;
             }
         }
@@ -183,12 +163,13 @@ mod tests {
 
     #[test]
     fn two_hosts_race_first_wins() {
-        let mut m = MemtisPolicy::new(2, 100, 10);
+        let mut m = MemtisPolicy::new(2, 10);
+        let mut r = Residency::new(2, 100);
         for _ in 0..10 {
             m.record_access(h(0), p(7), false, None);
             m.record_access(h(1), p(7), false, None);
         }
-        let out = m.end_interval();
+        let out = m.end_interval(&mut r);
         // Only one host gets the page even though both see it as hot —
         // single-host reasoning with no global coordination.
         assert_eq!(out.promotions.len(), 1);

@@ -1,6 +1,6 @@
 //! Nomad: recency-based hotness with asynchronous transactional migration.
 
-use crate::{HotnessPolicy, IntervalOutcome, ResidencyTracker};
+use crate::{HotnessPolicy, IntervalOutcome, Residency};
 use pipm_types::FxHashMap;
 use pipm_types::{HostId, PageNum, SchemeKind};
 
@@ -16,7 +16,6 @@ use pipm_types::{HostId, PageNum, SchemeKind};
 /// [`IDLE_DEMOTE_INTERVALS`]: NomadPolicy::IDLE_DEMOTE_INTERVALS
 #[derive(Clone, Debug)]
 pub struct NomadPolicy {
-    tracker: ResidencyTracker,
     budget: usize,
     /// Per host: pages seen this interval → access count.
     current: Vec<FxHashMap<PageNum, u32>>,
@@ -28,11 +27,10 @@ impl NomadPolicy {
     /// Intervals a resident page may stay idle before demotion.
     pub const IDLE_DEMOTE_INTERVALS: u64 = 4;
 
-    /// Creates the policy for `hosts` hosts with a per-host local capacity
-    /// of `capacity_pages` and a per-interval promotion `budget`.
-    pub fn new(hosts: usize, capacity_pages: usize, budget: usize) -> Self {
+    /// Creates the policy for `hosts` hosts with a per-interval promotion
+    /// `budget`.
+    pub fn new(hosts: usize, budget: usize) -> Self {
         NomadPolicy {
-            tracker: ResidencyTracker::new(hosts, capacity_pages),
             budget,
             current: vec![FxHashMap::default(); hosts],
             previous: vec![FxHashMap::default(); hosts],
@@ -57,7 +55,6 @@ impl HotnessPolicy for NomadPolicy {
         resident_at: Option<HostId>,
     ) {
         if resident_at == Some(host) {
-            self.tracker.touch(host, page);
             return;
         }
         *self.current[host.index()].entry(page).or_insert(0) += 1;
@@ -71,47 +68,25 @@ impl HotnessPolicy for NomadPolicy {
         Box::new(self.clone())
     }
 
-    fn end_interval(&mut self) -> IntervalOutcome {
-        let mut out = IntervalOutcome::default();
-        let hosts = self.current.len();
-        for hi in 0..hosts {
+    fn end_interval(&mut self, residency: &mut Residency) -> IntervalOutcome {
+        for hi in 0..self.current.len() {
             let host = HostId::new(hi);
             // Candidates: touched this interval AND last interval (recency
-            // across intervals), most-touched first.
-            let mut cand: Vec<(PageNum, u32)> = self.current[hi]
+            // across intervals). Single-host reasoning: pages already
+            // local somewhere are skipped (no stealing), with no view of
+            // other hosts' access intensity.
+            let cand: Vec<(PageNum, u32)> = self.current[hi]
                 .iter()
                 .filter(|(p, _)| self.previous[hi].contains_key(p))
                 .map(|(&p, &c)| (p, c))
                 .collect();
-            cand.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            let mut promoted = 0;
-            for (page, _) in cand {
-                if promoted >= self.budget {
-                    break;
-                }
-                // Single-host reasoning: skip only pages already local
-                // somewhere (no stealing), with no view of other hosts'
-                // access intensity.
-                if self.tracker.is_resident(page) {
-                    continue;
-                }
-                for d in self.tracker.promote(host, page) {
-                    out.demotions.push(d);
-                }
-                out.promotions.push((page, host));
-                promoted += 1;
-            }
-            // Demote idle pages.
-            for page in self.tracker.idle_pages(host, Self::IDLE_DEMOTE_INTERVALS) {
-                self.tracker.demote(host, page);
-                out.demotions.push((page, host));
-            }
+            residency.promote_hottest(host, cand, self.budget);
+            residency.demote_idle(host, Self::IDLE_DEMOTE_INTERVALS);
         }
-        for hi in 0..hosts {
+        for hi in 0..self.current.len() {
             self.previous[hi] = std::mem::take(&mut self.current[hi]);
         }
-        self.tracker.bump_interval();
-        out
+        residency.end_interval()
     }
 }
 
@@ -129,58 +104,62 @@ mod tests {
 
     #[test]
     fn promotes_only_after_two_intervals() {
-        let mut n = NomadPolicy::new(2, 100, 10);
+        let mut n = NomadPolicy::new(2, 10);
+        let mut r = Residency::new(2, 100);
         n.record_access(h(0), p(1), false, None);
-        let out = n.end_interval();
+        let out = n.end_interval(&mut r);
         assert!(out.promotions.is_empty(), "one interval is not enough");
         n.record_access(h(0), p(1), false, None);
-        let out = n.end_interval();
+        let out = n.end_interval(&mut r);
         assert_eq!(out.promotions, vec![(p(1), h(0))]);
     }
 
     #[test]
     fn budget_limits_promotions() {
-        let mut n = NomadPolicy::new(1, 100, 2);
+        let mut n = NomadPolicy::new(1, 2);
+        let mut r = Residency::new(1, 100);
         for iv in 0..2 {
             for i in 0..10 {
                 n.record_access(h(0), p(i), false, None);
             }
             if iv == 0 {
-                n.end_interval();
+                n.end_interval(&mut r);
             }
         }
-        let out = n.end_interval();
+        let out = n.end_interval(&mut r);
         assert_eq!(out.promotions.len(), 2);
     }
 
     #[test]
     fn no_stealing_between_hosts() {
-        let mut n = NomadPolicy::new(2, 100, 10);
+        let mut n = NomadPolicy::new(2, 10);
+        let mut r = Residency::new(2, 100);
         n.record_access(h(0), p(5), false, None);
-        n.end_interval();
+        n.end_interval(&mut r);
         n.record_access(h(0), p(5), false, None);
-        let out = n.end_interval();
+        let out = n.end_interval(&mut r);
         assert_eq!(out.promotions, vec![(p(5), h(0))]);
         // Host 1 also hammers the page but cannot steal it.
         n.record_access(h(1), p(5), false, Some(h(0)));
-        n.end_interval();
+        n.end_interval(&mut r);
         n.record_access(h(1), p(5), false, Some(h(0)));
-        let out = n.end_interval();
+        let out = n.end_interval(&mut r);
         assert!(out.promotions.is_empty());
     }
 
     #[test]
     fn idle_pages_get_demoted() {
-        let mut n = NomadPolicy::new(1, 100, 10);
+        let mut n = NomadPolicy::new(1, 10);
+        let mut r = Residency::new(1, 100);
         n.record_access(h(0), p(3), false, None);
-        n.end_interval();
+        n.end_interval(&mut r);
         n.record_access(h(0), p(3), false, None);
-        let out = n.end_interval();
+        let out = n.end_interval(&mut r);
         assert_eq!(out.promotions.len(), 1);
         // Never touch it again: after the idle horizon it is demoted.
         let mut demoted = false;
         for _ in 0..=NomadPolicy::IDLE_DEMOTE_INTERVALS + 1 {
-            let out = n.end_interval();
+            let out = n.end_interval(&mut r);
             if out.demotions.contains(&(p(3), h(0))) {
                 demoted = true;
             }

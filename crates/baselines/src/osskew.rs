@@ -1,6 +1,6 @@
 //! OS-skew: PIPM's majority-vote policy driving kernel page migration.
 
-use crate::{HotnessPolicy, IntervalOutcome, ResidencyTracker};
+use crate::{HotnessPolicy, IntervalOutcome, Residency};
 use pipm_types::FxHashMap;
 use pipm_types::{HostId, PageNum, SchemeKind};
 
@@ -21,7 +21,6 @@ struct Vote {
 /// transfer and page-table/TLB management costs.
 #[derive(Clone, Debug)]
 pub struct OsSkewPolicy {
-    tracker: ResidencyTracker,
     threshold: u8,
     budget: usize,
     votes: FxHashMap<PageNum, Vote>,
@@ -35,9 +34,8 @@ pub struct OsSkewPolicy {
 
 impl OsSkewPolicy {
     /// Creates the policy with the PIPM migration `threshold` (paper: 8).
-    pub fn new(hosts: usize, capacity_pages: usize, threshold: u8, budget: usize) -> Self {
+    pub fn new(threshold: u8, budget: usize) -> Self {
         OsSkewPolicy {
-            tracker: ResidencyTracker::new(hosts, capacity_pages),
             threshold,
             budget,
             votes: FxHashMap::default(),
@@ -70,7 +68,6 @@ impl HotnessPolicy for OsSkewPolicy {
                 // other hosts' accesses weaken it (the local-counter rule).
                 let c = self.resident_counter.entry(page).or_insert(self.threshold);
                 if owner == host {
-                    self.tracker.touch(host, page);
                     *c = (*c + 1).min(self.local_counter_max);
                 } else {
                     *c = c.saturating_sub(1);
@@ -102,21 +99,18 @@ impl HotnessPolicy for OsSkewPolicy {
         Box::new(self.clone())
     }
 
-    fn end_interval(&mut self) -> IntervalOutcome {
-        let mut out = IntervalOutcome::default();
+    fn end_interval(&mut self, residency: &mut Residency) -> IntervalOutcome {
         let mut promoted = 0;
         for (page, host) in std::mem::take(&mut self.pending) {
             if promoted >= self.budget {
                 break;
             }
-            if self.tracker.is_resident(page) {
+            if residency.home(page).is_some() {
                 continue;
             }
-            for d in self.tracker.promote(host, page) {
-                self.resident_counter.remove(&d.0);
-                out.demotions.push(d);
+            for victim in residency.promote(host, page) {
+                self.resident_counter.remove(&victim);
             }
-            out.promotions.push((page, host));
             self.resident_counter.insert(page, self.threshold);
             promoted += 1;
         }
@@ -130,15 +124,13 @@ impl HotnessPolicy for OsSkewPolicy {
             .collect();
         revoke.sort_unstable();
         for page in revoke {
-            if let Some(owner) = self.tracker.location(page) {
-                self.tracker.demote(owner, page);
-                out.demotions.push((page, owner));
+            if let Some(owner) = residency.home(page) {
+                residency.demote(owner, page);
             }
             self.resident_counter.remove(&page);
             self.votes.remove(&page);
         }
-        self.tracker.bump_interval();
-        out
+        residency.end_interval()
     }
 }
 
@@ -156,23 +148,25 @@ mod tests {
 
     #[test]
     fn majority_required_for_promotion() {
-        let mut o = OsSkewPolicy::new(2, 100, 4, 100);
+        let mut o = OsSkewPolicy::new(4, 100);
+        let mut r = Residency::new(2, 100);
         // Alternating accesses never build a majority.
         for _ in 0..20 {
             o.record_access(h(0), p(1), false, None);
             o.record_access(h(1), p(1), false, None);
         }
-        assert!(o.end_interval().promotions.is_empty());
+        assert!(o.end_interval(&mut r).promotions.is_empty());
         // A clear majority does.
         for _ in 0..8 {
             o.record_access(h(0), p(2), false, None);
         }
-        assert_eq!(o.end_interval().promotions, vec![(p(2), h(0))]);
+        assert_eq!(o.end_interval(&mut r).promotions, vec![(p(2), h(0))]);
     }
 
     #[test]
     fn contested_page_avoided_even_when_hot_for_everyone() {
-        let mut o = OsSkewPolicy::new(4, 100, 8, 100);
+        let mut o = OsSkewPolicy::new(8, 100);
+        let mut r = Residency::new(4, 100);
         // All four hosts hammer the page equally — a per-host frequency
         // policy would promote it; the vote never fires.
         for _ in 0..100 {
@@ -180,36 +174,38 @@ mod tests {
                 o.record_access(h(i), p(9), false, None);
             }
         }
-        assert!(o.end_interval().promotions.is_empty());
+        assert!(o.end_interval(&mut r).promotions.is_empty());
     }
 
     #[test]
     fn interhost_pressure_revokes_residency() {
-        let mut o = OsSkewPolicy::new(2, 100, 4, 100);
+        let mut o = OsSkewPolicy::new(4, 100);
+        let mut r = Residency::new(2, 100);
         for _ in 0..4 {
             o.record_access(h(0), p(3), false, None);
         }
-        let out = o.end_interval();
+        let out = o.end_interval(&mut r);
         assert_eq!(out.promotions.len(), 1);
         // Now host 1 hammers it inter-host: counter drains, page demoted.
         for _ in 0..8 {
             o.record_access(h(1), p(3), false, Some(h(0)));
         }
-        let out = o.end_interval();
+        let out = o.end_interval(&mut r);
         assert!(out.demotions.contains(&(p(3), h(0))));
     }
 
     #[test]
     fn owner_accesses_sustain_residency() {
-        let mut o = OsSkewPolicy::new(2, 100, 4, 100);
+        let mut o = OsSkewPolicy::new(4, 100);
+        let mut r = Residency::new(2, 100);
         for _ in 0..4 {
             o.record_access(h(0), p(3), false, None);
         }
-        o.end_interval();
+        o.end_interval(&mut r);
         for _ in 0..10 {
             o.record_access(h(0), p(3), false, Some(h(0)));
             o.record_access(h(1), p(3), false, Some(h(0)));
-            let out = o.end_interval();
+            let out = o.end_interval(&mut r);
             assert!(
                 !out.demotions.contains(&(p(3), h(0))),
                 "balanced pressure with owner majority must not revoke"

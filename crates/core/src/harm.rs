@@ -6,11 +6,11 @@
 //! accesses to the migrated page, plus the migration cost itself, exceeds
 //! the latency the owning host saved on its local accesses.
 
-use pipm_types::{Cycle, FxHashMap, HostId, PageNum, SystemConfig};
+use pipm_types::{Cycle, FxHashMap, PageNum, SystemConfig};
 
-#[derive(Clone, Copy, Debug)]
-struct Residency {
-    owner: HostId,
+/// One promotion's post-migration accesses, by its owner and by others.
+#[derive(Clone, Copy, Debug, Default)]
+struct Tally {
     own_accesses: u64,
     other_accesses: u64,
 }
@@ -19,7 +19,7 @@ struct Residency {
 /// demotion (or end of run).
 #[derive(Clone, Debug)]
 pub struct HarmTracker {
-    active: FxHashMap<PageNum, Residency>,
+    active: FxHashMap<PageNum, Tally>,
     /// Estimated local DRAM access latency (cycles).
     lat_local: f64,
     /// Estimated CXL memory access latency (cycles).
@@ -54,22 +54,16 @@ impl HarmTracker {
         }
     }
 
-    /// Records a promotion of `page` to `owner`.
-    pub fn on_promote(&mut self, page: PageNum, owner: HostId) {
-        self.active.insert(
-            page,
-            Residency {
-                owner,
-                own_accesses: 0,
-                other_accesses: 0,
-            },
-        );
+    /// Records a promotion of `page`.
+    pub fn on_promote(&mut self, page: PageNum) {
+        self.active.insert(page, Tally::default());
     }
 
-    /// Records a post-migration access to `page` by `host`.
-    pub fn on_access(&mut self, page: PageNum, host: HostId) {
+    /// Records a post-migration access to `page`, by the host it was
+    /// promoted to if `by_owner`.
+    pub fn on_access(&mut self, page: PageNum, by_owner: bool) {
         if let Some(r) = self.active.get_mut(&page) {
-            if r.owner == host {
+            if by_owner {
                 r.own_accesses += 1;
             } else {
                 r.other_accesses += 1;
@@ -84,7 +78,7 @@ impl HarmTracker {
         }
     }
 
-    fn evaluate(&mut self, r: Residency) {
+    fn evaluate(&mut self, r: Tally) {
         let benefit = r.own_accesses as f64 * (self.lat_cxl - self.lat_local);
         let harm = r.other_accesses as f64 * (self.lat_inter - self.lat_cxl) + self.mig_cost;
         self.evaluated += 1;
@@ -95,7 +89,7 @@ impl HarmTracker {
 
     /// Classifies every still-active residency (end of run).
     pub fn finish(&mut self) {
-        let remaining: Vec<Residency> = self.active.drain().map(|(_, r)| r).collect();
+        let remaining: Vec<Tally> = self.active.drain().map(|(_, r)| r).collect();
         for r in remaining {
             self.evaluate(r);
         }
@@ -125,10 +119,6 @@ mod tests {
         HarmTracker::new(&SystemConfig::default())
     }
 
-    fn h(i: usize) -> HostId {
-        HostId::new(i)
-    }
-
     fn p(i: u64) -> PageNum {
         PageNum::new(i)
     }
@@ -145,9 +135,9 @@ mod tests {
     #[test]
     fn owner_heavy_residency_is_beneficial() {
         let mut t = tracker();
-        t.on_promote(p(1), h(0));
+        t.on_promote(p(1));
         for _ in 0..10_000 {
-            t.on_access(p(1), h(0));
+            t.on_access(p(1), true);
         }
         t.on_demote(p(1));
         assert_eq!(t.evaluated(), 1);
@@ -157,11 +147,11 @@ mod tests {
     #[test]
     fn contested_residency_is_harmful() {
         let mut t = tracker();
-        t.on_promote(p(1), h(0));
+        t.on_promote(p(1));
         for _ in 0..100 {
-            t.on_access(p(1), h(0));
-            t.on_access(p(1), h(1));
-            t.on_access(p(1), h(2));
+            t.on_access(p(1), true);
+            t.on_access(p(1), false);
+            t.on_access(p(1), false);
         }
         t.on_demote(p(1));
         assert_eq!(t.harmful(), 1);
@@ -170,7 +160,7 @@ mod tests {
     #[test]
     fn untouched_residency_is_harmful_by_cost() {
         let mut t = tracker();
-        t.on_promote(p(1), h(0));
+        t.on_promote(p(1));
         t.on_demote(p(1));
         // No benefit, nonzero migration cost → harmful.
         assert_eq!(t.harmful(), 1);
@@ -179,10 +169,10 @@ mod tests {
     #[test]
     fn finish_classifies_remaining() {
         let mut t = tracker();
-        t.on_promote(p(1), h(0));
-        t.on_promote(p(2), h(1));
+        t.on_promote(p(1));
+        t.on_promote(p(2));
         for _ in 0..10_000 {
-            t.on_access(p(1), h(0));
+            t.on_access(p(1), true);
         }
         t.finish();
         assert_eq!(t.evaluated(), 2);
@@ -192,7 +182,7 @@ mod tests {
     #[test]
     fn accesses_to_unknown_pages_ignored() {
         let mut t = tracker();
-        t.on_access(p(9), h(0));
+        t.on_access(p(9), true);
         t.on_demote(p(9));
         assert_eq!(t.evaluated(), 0);
     }

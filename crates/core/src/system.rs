@@ -15,7 +15,7 @@ use crate::harm::HarmTracker;
 use crate::oracle::Oracle;
 use crate::remap::{GlobalRemap, LocalRemap};
 use pipm_baselines::{
-    HememPolicy, HotnessPolicy, HwStaticMap, MemtisPolicy, NomadPolicy, OsSkewPolicy,
+    HememPolicy, HotnessPolicy, HwStaticMap, MemtisPolicy, NomadPolicy, OsSkewPolicy, Residency,
 };
 use pipm_cache::SetAssoc;
 use pipm_coherence::{DevState, DeviceDirectory, Recall};
@@ -23,7 +23,7 @@ use pipm_cpu::{AccessStream, CoreModel, TraceRecord};
 use pipm_fabric::{Arrival, Dir, Topology};
 use pipm_mem::Dram;
 use pipm_types::{
-    AccessClass, Addr, Cycle, FxHashMap, HostId, HostSet, LineAddr, PageNum, PageTable, SchemeKind,
+    AccessClass, Addr, Cycle, FxHashMap, HostId, HostSet, LineAddr, PageNum, SchemeKind,
     SystemConfig, SystemStats, LINES_PER_PAGE, PAGE_SIZE,
 };
 
@@ -71,9 +71,6 @@ struct Host {
     dram: Dram,
     /// PIPM / HW-static local remapping table (unused by other schemes).
     remap: LocalRemap,
-    /// Kernel schemes: pages currently resident in this host's local DRAM.
-    resident_pages: u64,
-    peak_resident_pages: u64,
 }
 
 /// State specific to the active scheme.
@@ -144,9 +141,11 @@ pub struct System {
     warmed: bool,
     warmup_clock: Vec<Cycle>,
     warmup_instr: Vec<u64>,
-    /// Kernel schemes: current location of migrated pages (`None` = CXL).
-    /// Dense: shared pages are contiguous from page zero.
-    page_location: PageTable<HostId>,
+    /// Kernel schemes: where each migrated page lives, the record the
+    /// policy decides against. A field of `System` rather than of
+    /// [`KernelState`], because LLC evictions and the invariant sweep
+    /// read it while `mem_access` has the scheme swapped out.
+    residency: Residency,
     /// Reusable per-host promotion-count scratch, so the kernel outcome
     /// path allocates nothing per interval.
     promo_scratch: Vec<u64>,
@@ -220,8 +219,6 @@ impl System {
                 },
                 dram: Dram::new(&cfg.local_dram),
                 remap: LocalRemap::new(&cfg.pipm, capacity_pages),
-                resident_pages: 0,
-                peak_resident_pages: 0,
             })
             .collect();
         let scheme_state = match scheme {
@@ -237,22 +234,13 @@ impl System {
             },
             kernel => {
                 let policy: Box<dyn HotnessPolicy> = match kernel {
-                    SchemeKind::Nomad => {
-                        Box::new(NomadPolicy::new(cfg.hosts, capacity_pages, budget))
-                    }
-                    SchemeKind::Memtis => {
-                        Box::new(MemtisPolicy::new(cfg.hosts, capacity_pages, budget))
-                    }
+                    SchemeKind::Nomad => Box::new(NomadPolicy::new(cfg.hosts, budget)),
+                    SchemeKind::Memtis => Box::new(MemtisPolicy::new(cfg.hosts, budget)),
                     SchemeKind::Hemem => Box::new(
-                        HememPolicy::new(cfg.hosts, capacity_pages, HememPolicy::DEFAULT_THRESHOLD)
+                        HememPolicy::new(cfg.hosts, HememPolicy::DEFAULT_THRESHOLD)
                             .with_budget(budget),
                     ),
-                    SchemeKind::OsSkew => Box::new(OsSkewPolicy::new(
-                        cfg.hosts,
-                        capacity_pages,
-                        threshold,
-                        budget,
-                    )),
+                    SchemeKind::OsSkew => Box::new(OsSkewPolicy::new(threshold, budget)),
                     other => unreachable!("{other:?} handled above"),
                 };
                 let init_mult = if kernel == SchemeKind::Nomad {
@@ -287,7 +275,7 @@ impl System {
             warmed: false,
             warmup_clock: vec![0; total_cores],
             warmup_instr: vec![0; total_cores],
-            page_location: PageTable::new(),
+            residency: Residency::new(cfg.hosts, capacity_pages),
             promo_scratch: Vec::new(),
             oracle: None,
             invariant_epochs: 0,
@@ -473,8 +461,7 @@ impl System {
                 if !line.is_shared(&self.cfg) || meta.state == LState::Me {
                     continue;
                 }
-                if self.kind.uses_kernel_migration()
-                    && self.page_location.get(line.page()) == Some(&h)
+                if self.kind.uses_kernel_migration() && self.residency.home(line.page()) == Some(h)
                 {
                     continue;
                 }
@@ -927,9 +914,9 @@ impl System {
         for (hi, h) in self.hosts.iter().enumerate() {
             match &self.scheme {
                 SchemeState::Kernel(_) => {
-                    self.stats.migration.peak_resident_pages[hi] = h.peak_resident_pages;
-                    self.stats.migration.peak_resident_lines[hi] =
-                        h.peak_resident_pages * LINES_PER_PAGE;
+                    let peak = self.residency.peak(HostId::new(hi)) as u64;
+                    self.stats.migration.peak_resident_pages[hi] = peak;
+                    self.stats.migration.peak_resident_lines[hi] = peak * LINES_PER_PAGE;
                 }
                 SchemeState::PipmLike { .. } => {
                     self.stats.migration.peak_resident_pages[hi] = h.remap.peak_pages();
@@ -1231,18 +1218,19 @@ impl System {
     ) -> (Cycle, AccessClass, Cycle) {
         let host = HostId::new(hi);
         let page = line.page();
-        let resident = self.page_location.get(page).copied();
+        let resident = self.residency.home(page);
         k.policy.record_access(host, page, is_write, resident);
         match resident {
             Some(owner) if owner == host => {
-                k.harm.on_access(page, host);
+                self.residency.touch(page);
+                k.harm.on_access(page, true);
                 let done = self.fill_local(hi, li, line, LState::sole(is_write), is_write, t);
                 (done, AccessClass::LocalShared, 0)
             }
             Some(owner) => {
                 // Non-cacheable four-hop access to the owning host's local
                 // memory (GIM semantics, Figure 3 ①–⑤). No cache fill.
-                k.harm.on_access(page, host);
+                k.harm.on_access(page, false);
                 let dev = self.fabric.device_for_page(page);
                 let up = self.ctrl(host, dev, Dir::ToDevice, t);
                 let fwd = self.ctrl(owner, dev, Dir::ToHost, up.at);
@@ -1754,9 +1742,7 @@ impl System {
             || !vline.is_shared(&self.cfg)
             || match self.kind {
                 SchemeKind::LocalOnly => true,
-                k if k.uses_kernel_migration() => {
-                    self.page_location.get(vline.page()) == Some(&host)
-                }
+                k if k.uses_kernel_migration() => self.residency.home(vline.page()) == Some(host),
                 _ => false,
             };
         if local_home {
@@ -1857,7 +1843,7 @@ impl System {
                     * self.cfg.migration_interval_cycles as f64
                     / 1e6;
                 k.policy.set_interval_budget(k.tokens as usize);
-                let outcome = k.policy.end_interval();
+                let outcome = k.policy.end_interval(&mut self.residency);
                 k.tokens -= outcome.promotions.len() as f64;
                 // Interval processing itself (page-table/PEBS scanning)
                 // costs the migration daemon's core every interval,
@@ -1887,27 +1873,15 @@ impl System {
         promos_per_host.clear();
         promos_per_host.resize(self.cfg.hosts, 0);
 
+        // `Residency` already records the outcome. Every demotion names a
+        // page's home at the start of the interval and every promotion a
+        // page in CXL memory once the demotions are applied, so applying
+        // them in this order moves exactly the recorded pages.
         for (page, owner) in &outcome.demotions {
-            // The policy's residency view can drift from the page table
-            // (e.g. same-interval promote/demote churn); a demotion for a
-            // page not actually resident at the claimed owner would bulk-
-            // copy unrelated local DRAM over the current CXL image.
-            if self.page_location.get(*page) != Some(owner) {
-                continue;
-            }
             self.demote_kernel_page(k, *page, *owner, now);
         }
 
         for (page, dest) in &outcome.promotions {
-            match self.page_location.get(*page).copied() {
-                Some(cur) if cur == *dest => continue,
-                // Already resident elsewhere: the current owner's local
-                // DRAM holds the only up-to-date copy, so demote it back
-                // through CXL first — promoting the stale CXL image would
-                // silently lose the owner's writes.
-                Some(cur) => self.demote_kernel_page(k, *page, cur, now),
-                None => {}
-            }
             let di = dest.index();
             // Flush every host's cached copies (the page leaves the CXL
             // coherence domain) and drop directory entries.
@@ -1934,13 +1908,8 @@ impl System {
             self.hosts[di]
                 .dram
                 .bulk_transfer(page.base_addr(), t, PAGE_SIZE);
-            self.page_location.insert(*page, *dest);
-            k.harm.on_promote(*page, *dest);
+            k.harm.on_promote(*page);
             promos_per_host[di] += 1;
-            self.hosts[di].resident_pages += 1;
-            self.hosts[di].peak_resident_pages = self.hosts[di]
-                .peak_resident_pages
-                .max(self.hosts[di].resident_pages);
             self.stats.migration.pages_promoted += 1;
             self.stats.migration.transfer_bytes += PAGE_SIZE;
         }
@@ -1993,9 +1962,7 @@ impl System {
         }
         self.flush_page(oi, page);
         self.migrate_to_cxl(owner, page, PAGE_SIZE, now);
-        self.page_location.remove(page);
         k.harm.on_demote(page);
-        self.hosts[oi].resident_pages = self.hosts[oi].resident_pages.saturating_sub(1);
         self.stats.migration.pages_demoted += 1;
     }
 

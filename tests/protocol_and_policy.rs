@@ -2,8 +2,10 @@
 //! checker, and the policy structures together across crates.
 
 use pipm_coherence::proto::{Action, CacheState, Event, LineState};
+use pipm_core::run_one;
 use pipm_mcheck::{verify_up_to, Checker};
-use pipm_types::{HostId, PageNum, PipmConfig};
+use pipm_types::{HostId, PageNum, PipmConfig, SchemeKind, SystemConfig};
+use pipm_workloads::{Workload, WorkloadParams};
 use proptest::prelude::*;
 
 #[test]
@@ -164,4 +166,30 @@ fn incremental_migration_needs_no_extra_transfers() {
     );
     assert_eq!(line.cache[0], CacheState::I);
     assert!(line.is_i_prime(h0));
+}
+
+#[test]
+fn kernel_migration_keeps_within_local_capacity() {
+    // A 4-page local memory and 50 k-cycle intervals make capacity bind
+    // within one interval: a host promotes more pages than it holds, so
+    // a page promoted and then evicted in the same interval must never
+    // move, or the host ends the interval over capacity.
+    let mut cfg = SystemConfig::experiment_scale();
+    cfg.migration_interval_cycles = 50_000;
+    cfg.local_capacity_bytes = 16 << 10;
+    let params = WorkloadParams {
+        refs_per_core: 20_000,
+        seed: 7,
+    };
+    for s in [
+        SchemeKind::Nomad,
+        SchemeKind::Memtis,
+        SchemeKind::Hemem,
+        SchemeKind::OsSkew,
+    ] {
+        let stats = run_one(Workload::Ycsb, s, cfg.clone(), &params).stats;
+        let peak = &stats.migration.peak_resident_pages;
+        assert!(peak.iter().all(|&p| p <= 4), "{s}: peak {peak:?}");
+        assert!(stats.migration.pages_demoted > 0, "{s}: nothing demoted");
+    }
 }
