@@ -39,9 +39,10 @@ pub const MODEL_VERSION: u32 = 2;
 
 /// Canonical job key: a stable, human-readable encoding of every input
 /// of a job and of the [`MODEL_VERSION`] that computes it, hence a valid
-/// content address (the simulator is deterministic). It is the only key function: every cache keys on it,
-/// and [`Runner::run`](crate::Runner::run) over the same arguments
-/// computes what it addresses.
+/// content address (the simulator is deterministic). It is the only key
+/// function: every cache keys on it, and
+/// [`Runner::run`](crate::Runner::run) over the same arguments computes
+/// what it addresses.
 ///
 /// `None` keys a full [`run_one`](crate::run_one) under `cfg`
 /// (`job-v1|model=N|…`). `Some(d)` keys a checkpointed sweep point, the
