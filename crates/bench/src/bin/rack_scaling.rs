@@ -28,7 +28,8 @@ fn main() -> Result<(), String> {
                         .chain(schemes)
                         .map(move |s| {
                             Point::full(w, s, format!("hosts={hosts},devs={devs}"), |cfg| {
-                                cfg.apply_topology(TopologySpec::multi_headed(hosts, devs));
+                                cfg.hosts = hosts;
+                                cfg.topology = TopologySpec::multi_headed(devs);
                             })
                         })
                 })

@@ -276,11 +276,6 @@ impl<K: CacheKey, M> SetAssoc<K, M> {
         self.stats
     }
 
-    /// Resets statistics without disturbing contents.
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// Seeds the statistics counters, e.g. to carry accumulated hit/miss
     /// counts across a structural rebuild (cache resizing mid-run).
     pub fn set_stats(&mut self, stats: CacheStats) {

@@ -264,7 +264,7 @@ impl System {
                 .collect(),
             hosts,
             fabric: Topology::new(&cfg),
-            cxl_dram: (0..cfg.topology.device_count())
+            cxl_dram: (0..cfg.topology.devices)
                 .map(|_| Dram::new(&cfg.cxl_dram))
                 .collect(),
             devdir: DeviceDirectory::new(&cfg.directory),
@@ -936,12 +936,7 @@ impl System {
             self.stats.migration.harmful_promotions = k.harm.harmful();
             self.stats.migration.evaluated_promotions = k.harm.evaluated();
         }
-        let topo = self.fabric.topo_stats();
-        self.stats.fabric = pipm_types::FabricStats {
-            switch_hops: topo.switch_hops,
-            device_messages: topo.device_messages,
-            device_bytes: topo.device_bytes,
-        };
+        self.stats.fabric = self.fabric.stats().clone();
         if INLINE_CHECKS {
             self.invariant_epoch();
         }

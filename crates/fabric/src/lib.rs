@@ -10,10 +10,10 @@
 //! so the simulator can attribute queueing delay caused by page transfers —
 //! the "page transfer overhead" component of the paper's Figure 4.
 //!
-//! The graph — one or more multi-headed devices, optionally behind
-//! switches — is described by a `pipm_types::TopologySpec` and executed by
-//! [`Topology`], which composes the links into per-device planes, shared
-//! uplinks, and switch ports (see [`topology`]).
+//! The graph — one or more multi-headed devices, optionally behind one
+//! switch — is described by a `pipm_types::TopologySpec` and executed by
+//! [`Topology`], which composes the links into per-device planes, or into
+//! per-host uplinks and per-device switch ports (see [`topology`]).
 //!
 //! # Example
 //!
@@ -21,8 +21,11 @@
 //! use pipm_fabric::{Topology, Dir};
 //! use pipm_types::{HostId, SystemConfig, TopologySpec};
 //!
-//! let mut cfg = SystemConfig::default();
-//! cfg.apply_topology(TopologySpec::single_device(4));
+//! // Four hosts (the default), one device each host reaches directly.
+//! let cfg = SystemConfig {
+//!     topology: TopologySpec::multi_headed(1),
+//!     ..SystemConfig::default()
+//! };
 //! let mut fabric = Topology::new(&cfg);
 //! let h = HostId::new(0);
 //! // Send a 16-byte request host→device 0 at cycle 0: arrives after the
@@ -36,7 +39,7 @@
 
 pub mod topology;
 
-pub use topology::{Topology, TopologyStats};
+pub use topology::Topology;
 
 use pipm_types::{CxlConfig, Cycle, HostId, CPU_GHZ};
 
@@ -119,11 +122,6 @@ impl Links {
         }
     }
 
-    /// One-way propagation latency in cycles.
-    pub(crate) fn latency(&self) -> Cycle {
-        self.latency
-    }
-
     /// Reconfigures link latency and bandwidth in place, preserving
     /// per-direction occupancy (busy-until horizons) and accumulated
     /// statistics. Checkpointed sweeps use this to apply a late-binding
@@ -192,13 +190,6 @@ impl Links {
         }
         t
     }
-
-    /// Resets statistics without disturbing link occupancy.
-    pub(crate) fn reset_stats(&mut self) {
-        for l in &mut self.links {
-            l.stats = LinkStats::default();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -232,7 +223,7 @@ mod tests {
     fn set_link_params_preserves_occupancy_and_stats() {
         let mut f = fabric();
         let h = HostId::new(0);
-        let old_latency = f.latency();
+        let old_latency = f.latency;
         let before = f.send(h, Dir::ToDevice, 0, 1 << 16, false);
         let busy_until = before.at - old_latency;
         let faster = CxlConfig {
@@ -241,14 +232,14 @@ mod tests {
             ..CxlConfig::default()
         };
         f.set_link_params(&faster);
-        assert_eq!(f.latency(), pipm_types::cycles_from_ns(25.0));
+        assert_eq!(f.latency, pipm_types::cycles_from_ns(25.0));
         // New messages still queue behind traffic sent under the old
         // parameters (occupancy is preserved across reconfiguration) …
         let a = f.send(h, Dir::ToDevice, 0, 64, false);
         assert!(a.queued > 0, "pre-delta occupancy must persist");
         // … but serialize and propagate under the new ones: 64 B at
         // 16 GB/s = 16 cycles, plus the new 100-cycle propagation.
-        assert_eq!(a.at, busy_until + 16 + f.latency());
+        assert_eq!(a.at, busy_until + 16 + f.latency);
         // … and statistics keep accumulating.
         assert_eq!(f.total_stats().demand_messages, 2);
         assert_eq!(f.total_stats().demand_bytes, (1 << 16) + 64);
@@ -360,7 +351,7 @@ mod prop_tests {
             for (gap, bytes) in seq {
                 now += gap;
                 let a = f.send(h, Dir::ToDevice, now, bytes, false);
-                prop_assert!(a.at >= now + f.latency());
+                prop_assert!(a.at >= now + f.latency);
                 prop_assert!(a.at >= last_arrival, "FIFO violated");
                 last_arrival = a.at;
             }

@@ -311,12 +311,6 @@ impl Dram {
     pub fn stats(&self) -> DramStats {
         self.stats
     }
-
-    /// Resets statistics (e.g. at the end of warm-up) without disturbing
-    /// timing state.
-    pub fn reset_stats(&mut self) {
-        self.stats = DramStats::default();
-    }
 }
 
 /// Timing-invariant assertions: active under `debug_assertions` or the
@@ -480,17 +474,6 @@ mod tests {
         let t = d.bulk_transfer(Addr::new(0), 0, 4096);
         assert_eq!(t, 64 * d.burst_cycles());
         assert_eq!(d.stats().bytes, 4096);
-    }
-
-    #[test]
-    fn stats_reset_preserves_timing() {
-        let mut d = dram();
-        d.access(Addr::new(0), 0, false);
-        d.reset_stats();
-        assert_eq!(d.stats().accesses, 0);
-        // Row is still open: next same-row access is a hit.
-        d.access(Addr::new(64), 10_000, false);
-        assert_eq!(d.stats().row_hits, 1);
     }
 
     #[test]

@@ -470,16 +470,7 @@ fn apply_override(cfg: &mut SystemConfig, key: &str, value: &Json) -> Result<(),
         "migration_threshold" => {
             cfg.pipm.migration_threshold = want_threshold(cfg, key, value)?;
         }
-        "migration_interval_cycles" => {
-            let v = want_u64(key, value)?;
-            if v == 0 {
-                return Err(ProtoError::new(
-                    kind::BAD_REQUEST,
-                    "cfg.migration_interval_cycles must be positive",
-                ));
-            }
-            cfg.migration_interval_cycles = v;
-        }
+        "migration_interval_cycles" => cfg.migration_interval_cycles = want_u64(key, value)?,
         "local_remap_cache_bytes" => cfg.pipm.local_remap_cache_bytes = want_pow2(key, value)?,
         "global_remap_cache_bytes" => cfg.pipm.global_remap_cache_bytes = want_pow2(key, value)?,
         "sector_lines" => {
@@ -716,6 +707,52 @@ mod tests {
                 Some(want)
             );
         }
+    }
+
+    #[test]
+    fn link_timing_that_wraps_the_clock_is_rejected() {
+        let submit = |cfg: &str| {
+            format!(
+                r#"{{"cmd":"submit","jobs":[{{"workload":"ycsb","scheme":"native","cfg":{{{cfg}}}}}]}}"#
+            )
+        };
+        let whatif = |delta: &str| {
+            format!(
+                r#"{{"cmd":"whatif","jobs":[{{"workload":"ycsb","scheme":"native","delta":{{{delta}}}}}]}}"#
+            )
+        };
+        for field in [
+            r#""link_latency_ns":1e12"#,
+            r#""link_latency_ns":1e300"#,
+            r#""link_gbps":1e-300"#,
+        ] {
+            for line in [submit(field), whatif(field)] {
+                let err = parse_request(&line, &limits()).unwrap_err();
+                assert_eq!(err.kind, kind::BAD_REQUEST, "line: {line}");
+            }
+        }
+        for field in [r#""link_latency_ns":50"#, r#""link_gbps":8"#] {
+            for line in [submit(field), whatif(field)] {
+                parse_request(&line, &limits()).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn migration_interval_must_exceed_its_charge() {
+        let line = |cycles: u64| {
+            format!(
+                r#"{{"cmd":"submit","jobs":[{{"workload":"ycsb","scheme":"nomad","cfg":{{"migration_interval_cycles":{cycles}}}}}]}}"#
+            )
+        };
+        for cycles in [0, 3_500] {
+            let err = parse_request(&line(cycles), &limits()).unwrap_err();
+            assert_eq!(err.kind, kind::BAD_REQUEST, "{cycles} cycles");
+        }
+        let Request::Submit(jobs) = parse_request(&line(25_000), &limits()).unwrap() else {
+            panic!("expected submit")
+        };
+        assert_eq!(jobs[0].cfg.migration_interval_cycles, 25_000);
     }
 
     #[test]

@@ -290,8 +290,8 @@ pub struct SystemConfig {
     pub migration_interval_cycles: Cycle,
     /// Fraction of simulated references excluded from statistics as warm-up.
     pub warmup_fraction: f64,
-    /// Fabric topology: hosts, switches, and CXL devices. The default
-    /// describes the legacy single-device shape and inherits `hosts`.
+    /// Fabric topology: the CXL device count and an optional switch. The
+    /// default describes the legacy single-device, direct-link shape.
     pub topology: crate::TopologySpec,
 }
 
@@ -335,7 +335,9 @@ impl SystemConfig {
     /// # Errors
     ///
     /// Returns a human-readable description of the first inconsistency
-    /// found (zero hosts, non-power-of-two cache geometry, empty footprint).
+    /// found (zero hosts, non-power-of-two cache geometry, empty footprint,
+    /// link timing that would overflow the cycle clock, or a kernel
+    /// migration interval no longer than its own fixed charge).
     pub fn validate(&self) -> Result<(), String> {
         if self.hosts == 0 || self.hosts > crate::HostId::MAX_HOSTS {
             return Err(format!("hosts must be in 1..=32, got {}", self.hosts));
@@ -360,18 +362,47 @@ impl SystemConfig {
         if !(0.0..1.0).contains(&self.warmup_fraction) {
             return Err("warmup_fraction must be in [0,1)".into());
         }
-        self.topology.validate(self.hosts)?;
+        // Cycle arithmetic saturates in `cycles_from_ns` and then wraps
+        // when a send adds serialization and latency to its start time.
+        if !(self.cxl.link_latency_ns > 0.0 && self.cxl.link_latency_ns <= MAX_LINK_LATENCY_NS) {
+            return Err(format!(
+                "link_latency_ns must be in (0, {MAX_LINK_LATENCY_NS:e}], got {}",
+                self.cxl.link_latency_ns
+            ));
+        }
+        if !(MIN_LINK_GBPS..=MAX_LINK_GBPS).contains(&self.cxl.link_gbps) {
+            return Err(format!(
+                "link_gbps must be in [{MIN_LINK_GBPS:e}, {MAX_LINK_GBPS:e}], got {}",
+                self.cxl.link_gbps
+            ));
+        }
+        // Every interval charges this much to each host's first core; an
+        // interval no longer than the charge starts the next one on every
+        // reference and the run never finishes.
+        let charge = self
+            .migration_cost
+            .batch_fixed_cycles
+            .saturating_add(self.migration_cost.shootdown_cycles_per_batch);
+        if self.migration_interval_cycles <= charge {
+            return Err(format!(
+                "migration_interval_cycles must exceed the per-interval charge \
+                 batch_fixed_cycles + shootdown_cycles_per_batch = {charge}, got {}",
+                self.migration_interval_cycles
+            ));
+        }
+        self.topology.validate()?;
         Ok(())
     }
-
-    /// Installs `topology` and adopts its host count, keeping the two in
-    /// agreement ([`TopologySpec`](crate::TopologySpec) is the source of
-    /// truth; `validate` rejects drift between the two fields).
-    pub fn apply_topology(&mut self, topology: crate::TopologySpec) {
-        self.hosts = topology.resolved_hosts(self.hosts);
-        self.topology = topology;
-    }
 }
+
+/// Largest accepted one-way link latency, in ns.
+const MAX_LINK_LATENCY_NS: f64 = 1e6;
+
+/// Smallest accepted per-direction link bandwidth, in GB/s.
+const MIN_LINK_GBPS: f64 = 1e-3;
+
+/// Largest accepted per-direction link bandwidth, in GB/s.
+const MAX_LINK_GBPS: f64 = 1e4;
 
 impl Default for SystemConfig {
     fn default() -> Self {
@@ -465,13 +496,24 @@ mod tests {
     }
 
     #[test]
-    fn apply_topology_adopts_host_count() {
-        let mut cfg = SystemConfig::default();
-        cfg.apply_topology(crate::TopologySpec::multi_headed(8, 2));
-        assert_eq!(cfg.hosts, 8);
-        cfg.validate().unwrap();
-        // Drift between the two host counts is rejected.
-        cfg.hosts = 4;
-        assert!(cfg.validate().is_err());
+    fn validation_bounds_link_timing_and_interval() {
+        let with = |f: &dyn Fn(&mut SystemConfig)| {
+            let mut cfg = SystemConfig::default();
+            f(&mut cfg);
+            cfg.validate()
+        };
+        for ns in [0.0, 1e12, 1e300, f64::NAN] {
+            assert!(with(&|c| c.cxl.link_latency_ns = ns).is_err(), "{ns}");
+        }
+        for gbps in [1e-300, 1e-4, 1e5, f64::INFINITY] {
+            assert!(with(&|c| c.cxl.link_gbps = gbps).is_err(), "{gbps}");
+        }
+        with(&|c| c.cxl.link_latency_ns = MAX_LINK_LATENCY_NS).unwrap();
+        with(&|c| c.cxl.link_gbps = MIN_LINK_GBPS).unwrap();
+        with(&|c| c.cxl.link_gbps = MAX_LINK_GBPS).unwrap();
+        assert!(with(&|c| c.topology = crate::TopologySpec::switched(2, 2e6)).is_err());
+        // The default charge is 4 000 + 2 000 cycles.
+        assert!(with(&|c| c.migration_interval_cycles = 6_000).is_err());
+        with(&|c| c.migration_interval_cycles = 6_001).unwrap();
     }
 }

@@ -50,4 +50,4 @@ pub use scheme::SchemeKind;
 pub use stats::{AccessClass, CoreStats, FabricStats, MigrationStats, SystemStats};
 pub use table::{PageTable, MAX_DENSE_PAGES};
 pub use time::{cycles_from_ns, ns_from_cycles, Cycle, CPU_GHZ};
-pub use topology::{Attach, SwitchSpec, TopologySpec};
+pub use topology::TopologySpec;

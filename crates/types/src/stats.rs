@@ -176,8 +176,9 @@ impl MigrationStats {
 }
 
 /// Rack-scale fabric statistics: how traffic distributed over the
-/// topology's switches and devices. Zero-valued (single device, no hops
-/// beyond the direct links) under the legacy shape.
+/// topology's devices, and how much of it crossed the switch. Without a
+/// switch `switch_hops` stays zero; with one device the per-device
+/// vectors hold one entry carrying all fabric traffic.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct FabricStats {
     /// Messages that traversed a switch (one count per traversal, either

@@ -12,7 +12,7 @@
 //! | `fuzz_harness` | differential correctness harness: seeded + property-based fuzz traces across all schemes under the functional oracle and inline SWMR/directory/remap invariants, plus the `pipm-mcheck` reachability cross-check |
 //! | `serve` | `pipm-serve` daemon over loopback TCP: byte-identical cold/warm/direct responses, run-cache dedup of concurrent identical jobs, `whatif` checkpointed sweeps (byte-identical to a direct prefix+resume, one shared prefix per base config, fingerprints never alias plain runs), the figure harness and the daemon keying one run by one fingerprint, structured error paths (malformed, unknown names, limits, queue-full, oversized core counts), graceful shutdown drain |
 //! | `cluster` | multi-node sharding: a consistent-hash router over three `pipm-serve` nodes returns byte-identical responses to a single node and a direct encoding, a key routed twice is computed once cluster-wide (router cache hit, one node miss), killing a ring owner degrades to retry + local fallback with canonical bytes, the open-loop generator replays deterministic Poisson schedules with monotone saturation-sweep rows, and the readiness loop holds hundreds of concurrent connections |
-//! | `topology` | rack-scale topologies: multi-device racks route traffic to every device plane under every scheme, switched racks count switch hops, switch forward latency costs cycles, rack runs are deterministic, and a checkpoint prefix and its fork resume bit-identically on a multi-device and a switched rack |
+//! | `topology` | rack-scale topologies: multi-device racks route traffic to every device plane under every scheme, switched racks count switch hops, switch forward latency costs cycles, rack runs are deterministic, and a checkpoint prefix and its fork resume bit-identically on a multi-device and a switched rack, also under a link delta |
 //! | `stats_parity` | golden `SystemStats` fingerprints for all eight schemes, serially and across worker counts, plus `GOLDEN_PATHS` over the switched fabric, sector migration and device-directory recalls |
 //! | `fault_injection` | harness self-test (requires `--features fault-inject`): a deliberately injected lost-invalidation must be caught by the oracle/invariants |
 //!

@@ -204,9 +204,10 @@ fn golden_fingerprints_with_explicit_single_device_topology() {
         seed: SEED,
     };
     for (w, s, want) in GOLDEN {
-        let mut cfg = SystemConfig::experiment_scale();
-        let hosts = cfg.hosts;
-        cfg.apply_topology(pipm_types::TopologySpec::single_device(hosts));
+        let cfg = SystemConfig {
+            topology: pipm_types::TopologySpec::multi_headed(1),
+            ..SystemConfig::experiment_scale()
+        };
         let r = run_one(w, s, cfg, &params);
         assert_eq!(
             fingerprint(&r.stats),
@@ -250,7 +251,7 @@ fn variant_config(v: PathVariant) -> SystemConfig {
     let mut cfg = SystemConfig::experiment_scale();
     match v {
         PathVariant::Switched => {
-            cfg.apply_topology(pipm_types::TopologySpec::switched(4, 2, 30.0));
+            cfg.topology = pipm_types::TopologySpec::switched(2, 30.0);
         }
         PathVariant::Sector4 => cfg.pipm.sector_lines = 4,
         PathVariant::TinyDirectory => {

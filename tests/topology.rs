@@ -10,9 +10,12 @@
 //!    `SystemStats`.
 //! 3. Racks compose with checkpoint/fork: on a multi-device and on a
 //!    switched rack, a warm prefix and a cloned fork of it each resume
-//!    to statistics bit-identical to an uninterrupted run.
+//!    to statistics bit-identical to an uninterrupted run, and a fork
+//!    resumed under a link delta matches the unforked delta'd run.
+//!
+//! Every rack has the default four hosts.
 
-use pipm_core::System;
+use pipm_core::{CfgDelta, System};
 use pipm_types::{SchemeKind, SystemConfig, SystemStats, TopologySpec};
 use pipm_workloads::{Workload, WorkloadParams};
 
@@ -26,9 +29,15 @@ fn params() -> WorkloadParams {
     }
 }
 
+fn rack(topology: TopologySpec) -> SystemConfig {
+    SystemConfig {
+        topology,
+        ..SystemConfig::default()
+    }
+}
+
 fn run_with_topology(w: Workload, scheme: SchemeKind, topo: TopologySpec) -> SystemStats {
-    let mut cfg = SystemConfig::default();
-    cfg.apply_topology(topo);
+    let mut cfg = rack(topo);
     let streams = w.streams(&mut cfg, &params());
     System::new(cfg, scheme).run(streams, REFS_PER_CORE)
 }
@@ -36,7 +45,7 @@ fn run_with_topology(w: Workload, scheme: SchemeKind, topo: TopologySpec) -> Sys
 #[test]
 fn multi_device_topology_spreads_traffic_across_planes() {
     for &scheme in SchemeKind::ALL.iter() {
-        let stats = run_with_topology(Workload::Bfs, scheme, TopologySpec::multi_headed(4, 2));
+        let stats = run_with_topology(Workload::Bfs, scheme, TopologySpec::multi_headed(2));
         assert_eq!(stats.fabric.device_messages.len(), 2, "{scheme:?}");
         assert_eq!(stats.fabric.switch_hops, 0, "{scheme:?}: direct attach");
         if scheme == SchemeKind::LocalOnly {
@@ -65,7 +74,7 @@ fn switched_topology_accrues_switch_hops() {
     // inter-device hop counts (every host→device message crosses the
     // switch) and still distributes traffic to both devices.
     for &scheme in &[SchemeKind::Native, SchemeKind::Memtis, SchemeKind::Pipm] {
-        let stats = run_with_topology(Workload::Ycsb, scheme, TopologySpec::switched(4, 2, 30.0));
+        let stats = run_with_topology(Workload::Ycsb, scheme, TopologySpec::switched(2, 30.0));
         assert!(
             stats.fabric.switch_hops > 0,
             "{scheme:?}: switched topology must count hops"
@@ -86,12 +95,12 @@ fn switched_latency_slows_execution() {
     let direct = run_with_topology(
         Workload::Bfs,
         SchemeKind::Native,
-        TopologySpec::multi_headed(4, 2),
+        TopologySpec::multi_headed(2),
     );
     let switched = run_with_topology(
         Workload::Bfs,
         SchemeKind::Native,
-        TopologySpec::switched(4, 2, 200.0),
+        TopologySpec::switched(2, 200.0),
     );
     assert!(
         switched.exec_cycles() > direct.exec_cycles(),
@@ -107,7 +116,7 @@ fn multi_device_runs_are_deterministic() {
         run_with_topology(
             Workload::Bfs,
             SchemeKind::Pipm,
-            TopologySpec::multi_headed(4, 2),
+            TopologySpec::multi_headed(2),
         )
     };
     assert_eq!(run(), run(), "same seed must reproduce bit-identically");
@@ -115,19 +124,30 @@ fn multi_device_runs_are_deterministic() {
 
 /// Runs `w` under `scheme` on `topo` three ways — uninterrupted, as a
 /// warm prefix resumed in place, and as a cloned fork of that prefix —
-/// and asserts all three yield bit-identical statistics.
+/// and asserts all three yield bit-identical statistics. A second fork
+/// resumes under a link delta and must match [`System::run_with_delta`].
 ///
 /// `tests/checkpoint.rs` forks on the single-device rack only; these
 /// cover a multi-device plane split and a switched fabric.
 fn assert_checkpoint_fork_matches(w: Workload, scheme: SchemeKind, topo: TopologySpec) {
-    let uninterrupted = run_with_topology(w, scheme, topo.clone());
+    let uninterrupted = run_with_topology(w, scheme, topo);
 
-    let mut cfg = SystemConfig::default();
-    cfg.apply_topology(topo);
+    let mut cfg = rack(topo);
     let streams = w.streams(&mut cfg, &params());
     let prefix = (cfg.warmup_fraction * (REFS_PER_CORE * cfg.total_cores() as u64) as f64) as u64;
+    let delta = CfgDelta {
+        link_latency_ns: Some(100.0),
+        link_gbps: Some(4.0),
+        ..CfgDelta::default()
+    };
+    let delta_reference = {
+        let mut cfg = cfg.clone();
+        let streams = w.streams(&mut cfg, &params());
+        System::new(cfg, scheme).run_with_delta(streams, REFS_PER_CORE, prefix, &delta)
+    };
     let ckpt = System::new(cfg, scheme).run_prefix(streams, REFS_PER_CORE, prefix);
     let fork = ckpt.clone();
+    let delta_fork = ckpt.clone();
     assert_eq!(
         ckpt.resume(),
         uninterrupted,
@@ -138,6 +158,15 @@ fn assert_checkpoint_fork_matches(w: Workload, scheme: SchemeKind, topo: Topolog
         uninterrupted,
         "{w:?}/{scheme:?}: a forked checkpoint must resume identically"
     );
+    let delta_resumed = delta_fork.resume_with(&delta);
+    assert_ne!(
+        delta_resumed, uninterrupted,
+        "{w:?}/{scheme:?}: the link delta must change the run"
+    );
+    assert_eq!(
+        delta_resumed, delta_reference,
+        "{w:?}/{scheme:?}: a fork resumed under a link delta must match the unforked run"
+    );
 }
 
 #[test]
@@ -147,7 +176,7 @@ fn phased_checkpoint_fork_matches_uninterrupted_run() {
     assert_checkpoint_fork_matches(
         Workload::Pr,
         SchemeKind::Pipm,
-        TopologySpec::multi_headed(4, 2),
+        TopologySpec::multi_headed(2),
     );
 }
 
@@ -158,6 +187,6 @@ fn tenant_checkpoint_fork_matches_uninterrupted_run() {
     assert_checkpoint_fork_matches(
         Workload::Ycsb,
         SchemeKind::Memtis,
-        TopologySpec::switched(4, 2, 25.0),
+        TopologySpec::switched(2, 25.0),
     );
 }
