@@ -280,6 +280,7 @@ impl Residency {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pipm_types::PipmConfig;
     use proptest::prelude::*;
 
     fn h(i: usize) -> HostId {
@@ -354,7 +355,13 @@ mod tests {
             Box::new(NomadPolicy::new(HOSTS, 1_000)),
             Box::new(MemtisPolicy::new(HOSTS, 1_000)),
             Box::new(HememPolicy::new(HOSTS, 2)),
-            Box::new(OsSkewPolicy::new(2, 1_000)),
+            Box::new(OsSkewPolicy::new(
+                &PipmConfig {
+                    migration_threshold: 2,
+                    ..PipmConfig::default()
+                },
+                1_000,
+            )),
         ]
     }
 

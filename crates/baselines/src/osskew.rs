@@ -2,7 +2,7 @@
 
 use crate::{HotnessPolicy, IntervalOutcome, Residency};
 use pipm_types::FxHashMap;
-use pipm_types::{HostId, PageNum, SchemeKind};
+use pipm_types::{HostId, PageNum, PipmConfig, SchemeKind};
 
 /// Boyer–Moore state for one page.
 #[derive(Clone, Copy, Debug, Default)]
@@ -30,18 +30,22 @@ pub struct OsSkewPolicy {
     /// decremented by inter-host accesses, incremented by owner accesses.
     resident_counter: FxHashMap<PageNum, u8>,
     local_counter_max: u8,
+    global_counter_max: u8,
 }
 
 impl OsSkewPolicy {
-    /// Creates the policy with the PIPM migration `threshold` (paper: 8).
-    pub fn new(threshold: u8, budget: usize) -> Self {
+    /// Creates the policy with PIPM's migration threshold (paper: 8) and
+    /// counter widths, so the page-granularity vote saturates where
+    /// PIPM's remapping tables do.
+    pub fn new(cfg: &PipmConfig, budget: usize) -> Self {
         OsSkewPolicy {
-            threshold,
+            threshold: cfg.migration_threshold,
             budget,
             votes: FxHashMap::default(),
             pending: Vec::new(),
             resident_counter: FxHashMap::default(),
-            local_counter_max: 15,
+            local_counter_max: cfg.local_counter_max,
+            global_counter_max: cfg.global_counter_max,
         }
     }
 }
@@ -79,7 +83,7 @@ impl HotnessPolicy for OsSkewPolicy {
                     v.candidate = host.index() as u8;
                     v.counter = 1;
                 } else if v.candidate == host.index() as u8 {
-                    v.counter = (v.counter + 1).min(63);
+                    v.counter = (v.counter + 1).min(self.global_counter_max);
                 } else {
                     v.counter -= 1;
                 }
@@ -146,9 +150,17 @@ mod tests {
         PageNum::new(i)
     }
 
+    fn policy(threshold: u8) -> OsSkewPolicy {
+        let cfg = PipmConfig {
+            migration_threshold: threshold,
+            ..PipmConfig::default()
+        };
+        OsSkewPolicy::new(&cfg, 100)
+    }
+
     #[test]
     fn majority_required_for_promotion() {
-        let mut o = OsSkewPolicy::new(4, 100);
+        let mut o = policy(4);
         let mut r = Residency::new(2, 100);
         // Alternating accesses never build a majority.
         for _ in 0..20 {
@@ -164,8 +176,24 @@ mod tests {
     }
 
     #[test]
+    fn vote_saturates_at_the_configured_global_counter() {
+        // A 2-bit global counter can never reach threshold 4.
+        let cfg = PipmConfig {
+            migration_threshold: 4,
+            global_counter_max: 3,
+            ..PipmConfig::default()
+        };
+        let mut o = OsSkewPolicy::new(&cfg, 100);
+        let mut r = Residency::new(2, 100);
+        for _ in 0..8 {
+            o.record_access(h(0), p(2), false, None);
+        }
+        assert!(o.end_interval(&mut r).promotions.is_empty());
+    }
+
+    #[test]
     fn contested_page_avoided_even_when_hot_for_everyone() {
-        let mut o = OsSkewPolicy::new(8, 100);
+        let mut o = policy(8);
         let mut r = Residency::new(4, 100);
         // All four hosts hammer the page equally — a per-host frequency
         // policy would promote it; the vote never fires.
@@ -179,7 +207,7 @@ mod tests {
 
     #[test]
     fn interhost_pressure_revokes_residency() {
-        let mut o = OsSkewPolicy::new(4, 100);
+        let mut o = policy(4);
         let mut r = Residency::new(2, 100);
         for _ in 0..4 {
             o.record_access(h(0), p(3), false, None);
@@ -196,7 +224,7 @@ mod tests {
 
     #[test]
     fn owner_accesses_sustain_residency() {
-        let mut o = OsSkewPolicy::new(4, 100);
+        let mut o = policy(4);
         let mut r = Residency::new(2, 100);
         for _ in 0..4 {
             o.record_access(h(0), p(3), false, None);

@@ -3,7 +3,7 @@
 
 use crate::{geomean, print_table, Harness, Measurement, Point};
 use pipm_core::CfgDelta;
-use pipm_types::{SchemeKind, SystemConfig};
+use pipm_types::{SchemeKind, SystemConfig, TopologySpec};
 use pipm_workloads::Workload;
 
 /// Declares each workload's points with `row`, measures every point of
@@ -27,6 +27,47 @@ fn measure_defaults(h: &Harness, schemes: &[SchemeKind]) -> Vec<(Workload, Vec<M
     measure_rows(h, |w| {
         schemes.iter().map(|&s| Point::default_cfg(w, s)).collect()
     })
+}
+
+/// One column of a [`ratio_table`]: its header label, then the indices
+/// of the reference run and of the measured run within a workload's
+/// points.
+type Column = (String, usize, usize);
+
+/// Shared driver of every speedup figure: measures each workload's
+/// points with `row`, prints per workload and column the reference
+/// run's execution time over the measured run's at `digits` decimals,
+/// then one `# geomean` line over the workloads.
+fn ratio_table(
+    h: &Harness,
+    title: &str,
+    columns: &[Column],
+    digits: usize,
+    row: impl Fn(Workload) -> Vec<Point>,
+) {
+    let mut per_column: Vec<Vec<f64>> = vec![Vec::new(); columns.len()];
+    let rows: Vec<Vec<String>> = measure_rows(h, row)
+        .into_iter()
+        .map(|(w, ms)| {
+            let cells = columns.iter().zip(&mut per_column).map(|(&(_, r, i), c)| {
+                let ratio = ms[r].exec_cycles as f64 / ms[i].exec_cycles.max(1) as f64;
+                c.push(ratio);
+                format!("{ratio:.digits$}")
+            });
+            std::iter::once(w.label().to_string())
+                .chain(cells)
+                .collect()
+        })
+        .collect();
+    let header: Vec<&str> = std::iter::once("workload")
+        .chain(columns.iter().map(|(label, ..)| label.as_str()))
+        .collect();
+    print_table(title, &header, &rows);
+    print!("# geomean");
+    for ((label, ..), c) in columns.iter().zip(&per_column) {
+        print!("\t{label}={:.digits$}", geomean(c));
+    }
+    println!("\n");
 }
 
 /// Table 1: the evaluated workloads, their suites, paper footprints, and
@@ -254,27 +295,23 @@ const FIG10_SCHEMES: [SchemeKind; 8] = [
 
 /// Figure 10: end-to-end speedup over Native CXL-DSM for every scheme.
 pub fn fig10(h: &Harness) {
-    let mut rows = Vec::new();
-    let mut per_scheme: Vec<Vec<f64>> = vec![Vec::new(); FIG10_SCHEMES.len()];
-    for (w, ms) in measure_defaults(h, &FIG10_SCHEMES) {
-        let native = &ms[0];
-        let mut row = vec![w.label().to_string()];
-        for (i, m) in ms.iter().enumerate() {
-            let speedup = native.exec_cycles as f64 / m.exec_cycles.max(1) as f64;
-            per_scheme[i].push(speedup);
-            row.push(format!("{speedup:.3}"));
-        }
-        rows.push(row);
-    }
-    let header: Vec<&str> = std::iter::once("workload")
-        .chain(FIG10_SCHEMES.iter().map(|s| s.label()))
+    let columns: Vec<Column> = FIG10_SCHEMES
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (s.label().to_string(), 0, i))
         .collect();
-    print_table("Figure 10: speedup over Native CXL-DSM", &header, &rows);
-    print!("# geomean");
-    for (i, s) in FIG10_SCHEMES.iter().enumerate() {
-        print!("\t{}={:.3}", s.label(), geomean(&per_scheme[i]));
-    }
-    println!("\n");
+    ratio_table(
+        h,
+        "Figure 10: speedup over Native CXL-DSM",
+        &columns,
+        3,
+        |w| {
+            FIG10_SCHEMES
+                .iter()
+                .map(|&s| Point::default_cfg(w, s))
+                .collect()
+        },
+    );
 }
 
 /// Figure 11: local memory hit rates (shared-data LLC misses served from
@@ -433,7 +470,12 @@ pub fn fig15(h: &Harness) {
 /// Shared Fig. 14/15 driver: PIPM's speedup over Native at each swept
 /// point, with the points labelled `{name}={label}`.
 fn pipm_over_native_sweep(h: &Harness, title: &str, name: &str, sweep: &[(&str, CfgDelta)]) {
-    let row = |w| {
+    let columns: Vec<Column> = sweep
+        .iter()
+        .enumerate()
+        .map(|(i, (label, _))| (label.to_string(), 2 * i, 2 * i + 1))
+        .collect();
+    ratio_table(h, title, &columns, 3, |w| {
         sweep
             .iter()
             .flat_map(|(label, delta)| {
@@ -441,27 +483,7 @@ fn pipm_over_native_sweep(h: &Harness, title: &str, name: &str, sweep: &[(&str, 
                     .map(|s| Point::sweep(w, s, format!("{name}={label}"), *delta))
             })
             .collect()
-    };
-    let mut rows = Vec::new();
-    let mut per_point: Vec<Vec<f64>> = vec![Vec::new(); sweep.len()];
-    for (w, ms) in measure_rows(h, row) {
-        let mut row = vec![w.label().to_string()];
-        for (i, pair) in ms.chunks(2).enumerate() {
-            let (native, pipm) = (&pair[0], &pair[1]);
-            let speedup = native.exec_cycles as f64 / pipm.exec_cycles.max(1) as f64;
-            per_point[i].push(speedup);
-            row.push(format!("{speedup:.3}"));
-        }
-        rows.push(row);
-    }
-    let header: Vec<&str> = std::iter::once("workload")
-        .chain(sweep.iter().map(|(l, _)| *l))
-        .collect();
-    print_table(title, &header, &rows);
-    for (i, (label, _)) in sweep.iter().enumerate() {
-        println!("# geomean @{label}: {:.3}", geomean(&per_point[i]));
-    }
-    println!();
+    });
 }
 
 /// Figure 16: PIPM performance vs local remapping cache size, normalized
@@ -499,10 +521,10 @@ pub fn fig17(h: &Harness) {
 }
 
 /// Shared Fig. 16/17 driver: a checkpointed sweep over remapping-cache
-/// sizes (`sizes` includes the effectively-infinite normalization
-/// point). All points of both figures — and the threshold sweep — fork
-/// the same per-workload PIPM prefix, since the swept parameter only
-/// binds in the measured tail.
+/// sizes, normalized to the last, effectively infinite, size. All points
+/// of both figures — and the threshold sweep — fork the same
+/// per-workload PIPM prefix, since the swept parameter only binds in the
+/// measured tail.
 fn remap_cache_sweep(h: &Harness, title: &str, sizes: &[(&str, u64)], local: bool) {
     let prefix = if local { "l" } else { "g" };
     let delta = |bytes: u64| {
@@ -518,7 +540,13 @@ fn remap_cache_sweep(h: &Harness, title: &str, sizes: &[(&str, u64)], local: boo
             }
         }
     };
-    let row = |w| {
+    let inf = sizes.len() - 1;
+    let columns: Vec<Column> = sizes
+        .iter()
+        .enumerate()
+        .map(|(i, (label, _))| (label.to_string(), inf, i))
+        .collect();
+    ratio_table(h, title, &columns, 4, |w| {
         sizes
             .iter()
             .map(|(label, bytes)| {
@@ -530,74 +558,134 @@ fn remap_cache_sweep(h: &Harness, title: &str, sizes: &[(&str, u64)], local: boo
                 )
             })
             .collect()
-    };
-    let inf = sizes
-        .iter()
-        .position(|(l, _)| *l == "inf")
-        .expect("remap cache sweeps include the infinite normalization point");
-    let mut rows = Vec::new();
-    let mut per_size: Vec<Vec<f64>> = vec![Vec::new(); sizes.len()];
-    for (w, ms) in measure_rows(h, row) {
-        let mut row = vec![w.label().to_string()];
-        for (i, m) in ms.iter().enumerate() {
-            let rel = ms[inf].exec_cycles as f64 / m.exec_cycles.max(1) as f64;
-            per_size[i].push(rel);
-            row.push(format!("{rel:.4}"));
-        }
-        rows.push(row);
-    }
-    let header: Vec<&str> = std::iter::once("workload")
-        .chain(sizes.iter().map(|(l, _)| *l))
-        .collect();
-    print_table(title, &header, &rows);
-    print!("# geomean");
-    for (i, (label, _)) in sizes.iter().enumerate() {
-        print!("\t{label}={:.4}", geomean(&per_size[i]));
-    }
-    println!("\n");
+    });
 }
 
 /// §5.1.4 ablation: PIPM performance across migration thresholds
-/// (the paper observes similar performance for thresholds 4–16). A
-/// checkpointed sweep forking the same per-workload PIPM prefix as
-/// Fig. 16/17; thresholds bind late, in the measured tail only.
+/// (the paper observes similar performance for thresholds 4–16),
+/// relative to the default threshold 8. A checkpointed sweep forking
+/// the same per-workload PIPM prefix as Fig. 16/17; thresholds bind
+/// late, in the measured tail only.
 pub fn threshold_sweep(h: &Harness) {
     let thresholds = [4u8, 8, 16];
     let delta = |t: u8| CfgDelta {
         migration_threshold: Some(t),
         ..CfgDelta::default()
     };
-    let row = |w| {
-        thresholds
-            .into_iter()
-            .map(|t| Point::sweep(w, SchemeKind::Pipm, format!("thr={t}"), delta(t)))
-            .collect()
-    };
-    let base = thresholds
+    let columns: Vec<Column> = thresholds
         .iter()
-        .position(|&t| t == 8)
-        .expect("threshold 8 is swept");
-    let mut rows = Vec::new();
-    let mut per_thr: Vec<Vec<f64>> = vec![Vec::new(); thresholds.len()];
-    for (w, ms) in measure_rows(h, row) {
-        let mut row = vec![w.label().to_string()];
-        for (i, m) in ms.iter().enumerate() {
-            let rel = ms[base].exec_cycles as f64 / m.exec_cycles.max(1) as f64;
-            per_thr[i].push(rel);
-            row.push(format!("{rel:.3}"));
-        }
-        rows.push(row);
-    }
-    print_table(
+        .enumerate()
+        .map(|(i, t)| (format!("thr{t}"), 1, i))
+        .collect();
+    ratio_table(
+        h,
         "Threshold sweep: PIPM performance vs migration threshold (relative to threshold 8)",
-        &["workload", "thr4", "thr8", "thr16"],
-        &rows,
+        &columns,
+        3,
+        |w| {
+            thresholds
+                .into_iter()
+                .map(|t| Point::sweep(w, SchemeKind::Pipm, format!("thr={t}"), delta(t)))
+                .collect()
+        },
     );
-    print!("# geomean");
-    for (i, t) in thresholds.iter().enumerate() {
-        print!("\tthr{t}={:.3}", geomean(&per_thr[i]));
-    }
-    println!("\n");
+}
+
+/// Extension ablation: PIPM's speedup over Native against the sector
+/// size (`pipm.sector_lines`), the design-space point between the
+/// paper's pure per-line incremental migration (sector = 1) and
+/// whole-page transfer. Larger sectors prefetch spatial locality at the
+/// cost of extra CXL transfers.
+pub fn ablation_sector(h: &Harness) {
+    let sectors = [1u32, 2, 4, 8];
+    let columns: Vec<Column> = sectors
+        .iter()
+        .enumerate()
+        .map(|(i, sec)| (format!("sector{sec}"), 0, 1 + i))
+        .collect();
+    ratio_table(
+        h,
+        "Ablation: PIPM speedup over Native vs sector size (lines per incremental migration)",
+        &columns,
+        3,
+        |w| {
+            std::iter::once(Point::default_cfg(w, SchemeKind::Native))
+                .chain(sectors.into_iter().map(|sec| {
+                    let label = if sec == 1 {
+                        String::new()
+                    } else {
+                        format!("sector={sec}")
+                    };
+                    Point::full(w, SchemeKind::Pipm, label, |cfg| {
+                        cfg.pipm.sector_lines = sec;
+                    })
+                }))
+                .collect()
+        },
+    );
+}
+
+/// Extension (paper §4.5: "as the host count increases, the
+/// majority-vote approach continues to suppress performance-degrading
+/// migrations"): Memtis' and PIPM's speedup over Native at 2/4/8 hosts
+/// with a fixed per-host core count.
+pub fn host_scaling(h: &Harness) {
+    let shapes = [2, 4, 8].map(|hosts| (format!("{hosts}h"), hosts, 1));
+    scaling_table(
+        h,
+        "Host scaling: speedup over Native at the same host count",
+        &shapes,
+    );
+}
+
+/// Extension: rack-scale device scalability, [`host_scaling`] along the
+/// fabric's second axis — the number of multi-headed CXL devices the
+/// shared region is interleaved across (1/2/4 devices at 4 and 8
+/// hosts). More devices means more aggregate fabric and device-DRAM
+/// bandwidth, so the curve shows how much of PIPM's advantage over
+/// kernel migration survives when raw bandwidth is no longer scarce.
+pub fn rack_scaling(h: &Harness) {
+    let shapes: Vec<_> = [4, 8]
+        .into_iter()
+        .flat_map(|hosts| [1, 2, 4].map(|devs| (format!("{hosts}h{devs}d"), hosts, devs)))
+        .collect();
+    scaling_table(
+        h,
+        "Rack scaling: speedup over Native at the same host and device count",
+        &shapes,
+    );
+}
+
+/// Shared host/rack scaling driver: Memtis' and PIPM's speedup over
+/// Native at each `(name, hosts, devices)` shape, each normalized to
+/// Native on the same shape, in columns `{name}_{scheme}`.
+fn scaling_table(h: &Harness, title: &str, shapes: &[(String, usize, usize)]) {
+    let schemes = [SchemeKind::Native, SchemeKind::Memtis, SchemeKind::Pipm];
+    let columns: Vec<Column> = shapes
+        .iter()
+        .enumerate()
+        .flat_map(|(k, (name, ..))| {
+            let native = k * schemes.len();
+            schemes
+                .iter()
+                .enumerate()
+                .skip(1)
+                .map(move |(i, s)| (format!("{name}_{}", s.label()), native, native + i))
+        })
+        .collect();
+    ratio_table(h, title, &columns, 3, |w| {
+        shapes
+            .iter()
+            .flat_map(|&(_, hosts, devs)| {
+                schemes.map(|s| {
+                    Point::full(w, s, format!("hosts={hosts},devs={devs}"), |cfg| {
+                        cfg.hosts = hosts;
+                        cfg.topology = TopologySpec::multi_headed(devs);
+                    })
+                })
+            })
+            .collect()
+    });
 }
 
 /// §5.1.4: protocol verification (the Murφ substitute).
@@ -626,5 +714,22 @@ mod tests {
         assert_eq!(counts(fig10), (8, 0), "fig10: 8 schemes, one run each");
         assert_eq!(counts(fig11), (0, 6), "fig11: 6 schemes, one hit each");
         assert_eq!(counts(fig16), (4, 0), "fig16: 4 sizes, one run each");
+        // The 4-host, 1-device points are Fig. 10's, and rack scaling's
+        // 8-host, 1-device points are host scaling's.
+        assert_eq!(
+            counts(host_scaling),
+            (6, 3),
+            "host_scaling: 3 shapes x 3 schemes"
+        );
+        assert_eq!(
+            counts(rack_scaling),
+            (12, 6),
+            "rack_scaling: 6 shapes x 3 schemes"
+        );
+        assert_eq!(
+            counts(ablation_sector),
+            (3, 2),
+            "ablation_sector: Native + 4 sectors"
+        );
     }
 }

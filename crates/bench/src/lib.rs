@@ -58,8 +58,6 @@ use std::time::Instant;
 pub struct Measurement {
     /// Execution time in cycles (max core clock).
     pub exec_cycles: u64,
-    /// Aggregate IPC.
-    pub ipc: f64,
     /// Local memory hit rate over shared-data LLC misses (Fig. 11).
     pub local_hit: f64,
     /// Sum of inter-host stall cycles across cores (Fig. 12 numerator).
@@ -70,14 +68,6 @@ pub struct Measurement {
     pub transfer_stall_sum: u64,
     /// Number of cores (normalization for the stall sums).
     pub cores: u64,
-    /// Pages promoted / partial migrations initiated.
-    pub pages_promoted: u64,
-    /// Pages demoted / revoked.
-    pub pages_demoted: u64,
-    /// PIPM: lines incrementally migrated into local DRAM.
-    pub lines_in: u64,
-    /// PIPM: lines migrated back to CXL.
-    pub lines_back: u64,
     /// Harmful promotions (Fig. 5 numerator).
     pub harmful: u64,
     /// Evaluated promotions (Fig. 5 denominator).
@@ -86,10 +76,6 @@ pub struct Measurement {
     pub footprint_page: f64,
     /// Mean peak per-host line-granularity footprint fraction (Fig. 13).
     pub footprint_line: f64,
-    /// Local remapping cache hit rate (Fig. 16 context).
-    pub local_remap_hit_rate: f64,
-    /// Global remapping cache hit rate (Fig. 17 context).
-    pub global_remap_hit_rate: f64,
 }
 
 impl Measurement {
@@ -97,22 +83,15 @@ impl Measurement {
         let s = &r.stats;
         Measurement {
             exec_cycles: s.exec_cycles(),
-            ipc: s.aggregate_ipc(),
             local_hit: s.local_hit_rate(),
             interhost_stall_sum: s.total_interhost_stall(),
             mgmt_stall_sum: s.total_mgmt_stall(),
             transfer_stall_sum: s.total_transfer_stall(),
             cores: s.cores.len() as u64,
-            pages_promoted: s.migration.pages_promoted,
-            pages_demoted: s.migration.pages_demoted,
-            lines_in: s.migration.lines_migrated_in,
-            lines_back: s.migration.lines_migrated_back,
             harmful: s.migration.harmful_promotions,
             evaluated: s.migration.evaluated_promotions,
             footprint_page: s.footprint_page_fraction(r.cfg.shared_pages()),
             footprint_line: s.footprint_line_fraction(r.cfg.shared_pages()),
-            local_remap_hit_rate: s.local_remap_hit_rate(),
-            global_remap_hit_rate: s.global_remap_hit_rate(),
         }
     }
 
@@ -137,49 +116,35 @@ impl Measurement {
 
     fn to_tsv(&self) -> String {
         format!(
-            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
             self.exec_cycles,
-            self.ipc,
             self.local_hit,
             self.interhost_stall_sum,
             self.mgmt_stall_sum,
             self.transfer_stall_sum,
             self.cores,
-            self.pages_promoted,
-            self.pages_demoted,
-            self.lines_in,
-            self.lines_back,
             self.harmful,
             self.evaluated,
             self.footprint_page,
             self.footprint_line,
-            self.local_remap_hit_rate,
-            self.global_remap_hit_rate,
         )
     }
 
     fn from_tsv(fields: &[&str]) -> Option<Self> {
-        if fields.len() != 17 {
+        if fields.len() != 10 {
             return None;
         }
         Some(Measurement {
             exec_cycles: fields[0].parse().ok()?,
-            ipc: fields[1].parse().ok()?,
-            local_hit: fields[2].parse().ok()?,
-            interhost_stall_sum: fields[3].parse().ok()?,
-            mgmt_stall_sum: fields[4].parse().ok()?,
-            transfer_stall_sum: fields[5].parse().ok()?,
-            cores: fields[6].parse().ok()?,
-            pages_promoted: fields[7].parse().ok()?,
-            pages_demoted: fields[8].parse().ok()?,
-            lines_in: fields[9].parse().ok()?,
-            lines_back: fields[10].parse().ok()?,
-            harmful: fields[11].parse().ok()?,
-            evaluated: fields[12].parse().ok()?,
-            footprint_page: fields[13].parse().ok()?,
-            footprint_line: fields[14].parse().ok()?,
-            local_remap_hit_rate: fields[15].parse().ok()?,
-            global_remap_hit_rate: fields[16].parse().ok()?,
+            local_hit: fields[1].parse().ok()?,
+            interhost_stall_sum: fields[2].parse().ok()?,
+            mgmt_stall_sum: fields[3].parse().ok()?,
+            transfer_stall_sum: fields[4].parse().ok()?,
+            cores: fields[5].parse().ok()?,
+            harmful: fields[6].parse().ok()?,
+            evaluated: fields[7].parse().ok()?,
+            footprint_page: fields[8].parse().ok()?,
+            footprint_line: fields[9].parse().ok()?,
         })
     }
 }
@@ -717,22 +682,15 @@ mod tests {
     fn sample() -> Measurement {
         Measurement {
             exec_cycles: 123,
-            ipc: 0.5,
             local_hit: 0.25,
             interhost_stall_sum: 7,
             mgmt_stall_sum: 8,
             transfer_stall_sum: 9,
             cores: 16,
-            pages_promoted: 10,
-            pages_demoted: 11,
-            lines_in: 12,
-            lines_back: 13,
             harmful: 3,
             evaluated: 6,
             footprint_page: 0.07,
             footprint_line: 0.05,
-            local_remap_hit_rate: 0.9,
-            global_remap_hit_rate: 0.8,
         }
     }
 
@@ -750,7 +708,7 @@ mod tests {
     #[test]
     fn malformed_tsv_rejected() {
         assert!(Measurement::from_tsv(&["1", "2"]).is_none());
-        assert!(Measurement::from_tsv(&["x"; 17]).is_none());
+        assert!(Measurement::from_tsv(&["x"; 10]).is_none());
     }
 
     #[test]
@@ -1011,7 +969,7 @@ mod tests {
     fn disk_cache_preloads_only_whole_lines() {
         let path = std::env::temp_dir().join(format!("pipm_torn_lines_{}.tsv", std::process::id()));
         let whole = Measurement {
-            global_remap_hit_rate: 0.83,
+            footprint_line: 0.83,
             ..sample()
         };
         let line = |key: &str| format!("{key}\t{}", whole.to_tsv());

@@ -206,7 +206,6 @@ impl System {
         cfg.validate().expect("invalid system configuration");
         let capacity_pages = (cfg.local_capacity_bytes / PAGE_SIZE) as usize;
         let budget = 0; // replaced per interval by the token bucket
-        let threshold = cfg.pipm.migration_threshold;
         let hosts: Vec<Host> = (0..cfg.hosts)
             .map(|_| Host {
                 l1: (0..cfg.cores_per_host)
@@ -240,7 +239,7 @@ impl System {
                         HememPolicy::new(cfg.hosts, HememPolicy::DEFAULT_THRESHOLD)
                             .with_budget(budget),
                     ),
-                    SchemeKind::OsSkew => Box::new(OsSkewPolicy::new(threshold, budget)),
+                    SchemeKind::OsSkew => Box::new(OsSkewPolicy::new(&cfg.pipm, budget)),
                     other => unreachable!("{other:?} handled above"),
                 };
                 let init_mult = if kernel == SchemeKind::Nomad {
