@@ -4,7 +4,7 @@
 //! (Table 2: 50 ns) and a per-direction bandwidth (Table 2: 5 GB/s in the
 //! ×16 scaled-down setting). Messages serialize on each direction: a
 //! message arriving while the direction is busy queues behind earlier
-//! traffic (busy-until model).
+//! traffic (one `pipm_types::Timeline` per direction).
 //!
 //! The links distinguish demand traffic from migration payload traffic
 //! so the simulator can attribute queueing delay caused by page transfers —
@@ -41,7 +41,7 @@ pub mod topology;
 
 pub use topology::Topology;
 
-use pipm_types::{CxlConfig, Cycle, HostId, CPU_GHZ};
+use pipm_types::{CxlConfig, Cycle, HostId, Timeline, CPU_GHZ};
 
 /// Direction of a message on a CXL link.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -63,10 +63,12 @@ pub struct Arrival {
     pub queued_behind_migration: Cycle,
 }
 
+/// One link direction: when it is next free, and when the last migration
+/// payload it carried finished serializing.
 #[derive(Clone, Copy, Debug, Default)]
 struct Direction {
-    busy_until: Cycle,
-    mig_busy_until: Cycle,
+    busy: Timeline,
+    migration: Timeline,
 }
 
 /// Per-link traffic counters.
@@ -123,7 +125,7 @@ impl Links {
     }
 
     /// Reconfigures link latency and bandwidth in place, preserving
-    /// per-direction occupancy (busy-until horizons) and accumulated
+    /// per-direction occupancy (the direction timelines) and accumulated
     /// statistics. Checkpointed sweeps use this to apply a late-binding
     /// configuration delta to a warmed fabric: in-flight serialization
     /// finishes under the old parameters, messages sent after the call
@@ -160,12 +162,12 @@ impl Links {
             Dir::ToDevice => &mut link.up,
             Dir::ToHost => &mut link.down,
         };
-        let start = now.max(d.busy_until);
+        let start = d.busy.reserve(now, ser);
         let queued = start - now;
-        let queued_behind_migration = d.mig_busy_until.min(start).saturating_sub(now);
-        d.busy_until = start + ser;
+        // The part of the wait that falls inside the migration window.
+        let queued_behind_migration = d.migration.free_at(now).min(start) - now;
         if is_migration {
-            d.mig_busy_until = d.busy_until;
+            d.migration.hold_until(start + ser);
             link.stats.migration_bytes += bytes;
         } else {
             link.stats.demand_messages += 1;
@@ -225,7 +227,7 @@ mod tests {
         let h = HostId::new(0);
         let old_latency = f.latency;
         let before = f.send(h, Dir::ToDevice, 0, 1 << 16, false);
-        let busy_until = before.at - old_latency;
+        let free_at = before.at - old_latency;
         let faster = CxlConfig {
             link_latency_ns: 25.0,
             link_gbps: 16.0,
@@ -239,7 +241,7 @@ mod tests {
         assert!(a.queued > 0, "pre-delta occupancy must persist");
         // … but serialize and propagate under the new ones: 64 B at
         // 16 GB/s = 16 cycles, plus the new 100-cycle propagation.
-        assert_eq!(a.at, busy_until + 16 + f.latency);
+        assert_eq!(a.at, free_at + 16 + f.latency);
         // … and statistics keep accumulating.
         assert_eq!(f.total_stats().demand_messages, 2);
         assert_eq!(f.total_stats().demand_bytes, (1 << 16) + 64);
@@ -292,7 +294,7 @@ mod tests {
         f.send(h, Dir::ToHost, 0, 256, true);
         // Demand traffic occupies the direction well past the migration.
         f.send(h, Dir::ToHost, 128, 1 << 16, false);
-        // Issued with mig_busy_until (128) already in the past: the delay
+        // Issued with the migration window (128) already past: the delay
         // is real but none of it is the migration's fault.
         let a = f.send(h, Dir::ToHost, 129, 64, false);
         assert!(a.queued > 0);

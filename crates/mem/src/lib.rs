@@ -3,9 +3,9 @@
 //! Models a multi-channel, multi-bank DRAM device with open-row policy,
 //! the four headline timing parameters from Table 2 of the paper
 //! (tRC-tRCD-tCL-tRP = 48-15-20-15 ns for DDR5-4800), and per-channel data
-//! bandwidth. Contention is modelled with *busy-until* accumulators: a
-//! request arriving while its bank or channel bus is busy queues behind the
-//! earlier work.
+//! bandwidth. Contention is modelled with one [`Timeline`] per bank, per
+//! bank activate window and per channel bus: a request arriving while its
+//! bank or channel bus is busy queues behind the earlier work.
 //!
 //! # Example
 //!
@@ -25,22 +25,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use pipm_types::{cycles_from_ns, Addr, Cycle, DramConfig, CPU_GHZ, LINE_SIZE};
+use pipm_types::{cycles_from_ns, Addr, Cycle, DramConfig, Timeline, CPU_GHZ, LINE_SIZE};
 
-/// State of one DRAM bank: the open row (if any) and when the bank becomes
-/// free for the next command.
-#[derive(Clone, Copy, Debug, Default)]
+/// State of one DRAM bank: the open row (if any), when the bank becomes
+/// free for the next command, and when tRC next allows an activate.
+#[derive(Clone, Copy, Debug)]
 struct Bank {
     open_row: Option<u64>,
-    busy_until: Cycle,
-    last_activate: Cycle,
+    busy: Timeline,
+    activate: Timeline,
 }
 
 /// One DDR channel: a set of banks plus a shared data bus.
 #[derive(Clone, Debug)]
 struct Channel {
     banks: Vec<Bank>,
-    bus_busy_until: Cycle,
+    bus: Timeline,
 }
 
 /// Statistics kept by the DRAM model.
@@ -136,18 +136,26 @@ impl Dram {
         assert!(cfg.banks_per_channel > 0, "DRAM needs at least one bank");
         let bytes_per_cycle = cfg.channel_gbps / CPU_GHZ; // GB/s ÷ Gcycle/s = B/cycle
         let burst_cycles = (LINE_SIZE as f64 / bytes_per_cycle).ceil() as Cycle;
+        let t_rc = cycles_from_ns(cfg.t_rc_ns);
+        // An activate at cycle 0 counts as the previous one, so the first
+        // real activate waits for tRC.
+        let bank = Bank {
+            open_row: None,
+            busy: Timeline::default(),
+            activate: Timeline::held_until(t_rc),
+        };
         Dram {
             channels: vec![
                 Channel {
-                    banks: vec![Bank::default(); cfg.banks_per_channel],
-                    bus_busy_until: 0,
+                    banks: vec![bank; cfg.banks_per_channel],
+                    bus: Timeline::default(),
                 };
                 cfg.channels
             ],
             t_rcd: cycles_from_ns(cfg.t_rcd_ns),
             t_cl: cycles_from_ns(cfg.t_cl_ns),
             t_rp: cycles_from_ns(cfg.t_rp_ns),
-            t_rc: cycles_from_ns(cfg.t_rc_ns),
+            t_rc,
             burst_cycles: burst_cycles.max(1),
             ch_div: PowDiv::new(cfg.channels as u64),
             lpr_div: PowDiv::new((cfg.row_bytes / LINE_SIZE).max(1)),
@@ -182,46 +190,34 @@ impl Dram {
             self.t_rc,
             self.burst_cycles,
         );
-        // Gated so release builds without `check-invariants` do not even
-        // load the snapshot fields on the per-access hot path.
-        let prev = checks::ENABLED.then(|| checks::snapshot(&self.channels[ch_idx], bank_idx));
         let ch = &mut self.channels[ch_idx];
         let bank = &mut ch.banks[bank_idx];
 
-        let start = now.max(bank.busy_until);
+        let start = bank.busy.free_at(now);
         self.stats.queue_cycles += start - now;
 
         // Column commands pipeline (tCCD ≈ one burst); only the activate
         // itself occupies the bank, and tRC is enforced between activates.
-        let (ready, row_hit) = match bank.open_row {
-            Some(open) if open == row => {
-                bank.busy_until = start + burst;
-                (start + t_cl, true)
-            }
-            Some(_) => {
-                // Row miss: precharge + activate + CAS, respecting tRC since
-                // the previous activate.
-                let act = (start + t_rp).max(bank.last_activate + t_rc);
-                bank.last_activate = act;
-                bank.open_row = Some(row);
-                bank.busy_until = act + t_rcd;
-                (act + t_rcd + t_cl, false)
-            }
-            None => {
-                let act = start.max(bank.last_activate + t_rc);
-                bank.last_activate = act;
-                bank.open_row = Some(row);
-                bank.busy_until = act + t_rcd;
-                (act + t_rcd + t_cl, false)
-            }
+        let row_hit = bank.open_row == Some(row);
+        let ready = if row_hit {
+            bank.busy.hold_until(start + burst);
+            start + t_cl
+        } else {
+            // Activate + CAS, after a precharge if another row is open,
+            // respecting tRC since the previous activate.
+            let precharge = if bank.open_row.is_some() { t_rp } else { 0 };
+            let act = bank.activate.free_at(start + precharge);
+            bank.activate.hold_until(act + t_rc);
+            bank.open_row = Some(row);
+            bank.busy.hold_until(act + t_rcd);
+            act + t_rcd + t_cl
         };
 
         // The data bus is a throughput bound: each access reserves one
         // burst slot starting from its issue time; completion is the later
         // of CAS readiness and the reserved slot's end (pipelined column
         // accesses overlap with earlier bursts).
-        let slot_end = start.max(ch.bus_busy_until) + burst;
-        ch.bus_busy_until = slot_end;
+        let slot_end = ch.bus.reserve(start, burst) + burst;
         let done = ready.max(slot_end);
         self.stats.bus_wait_cycles += done - ready;
 
@@ -231,23 +227,19 @@ impl Dram {
         }
         self.stats.bytes += LINE_SIZE;
         let _ = is_write;
-        if let Some(prev) = prev {
-            checks::bank_monotonic(&self.channels[ch_idx], bank_idx, prev, now, done);
-        }
         done
     }
 
     /// Computes the completion time of a 64-byte read *without* mutating
     /// bank or bus state. Used for remote-initiated reads (coherence
     /// forwards, inter-host accesses) whose timestamps live on another
-    /// host's timeline: charging them into the busy-until accumulators
+    /// host's timeline: charging them into the bank and bus timelines
     /// would stall this host's demand stream on a wall far in its future.
     /// Their bandwidth is negligible (they are rare relative to demand).
     pub fn access_shadow(&mut self, addr: Addr, now: Cycle) -> Cycle {
         let (ch_idx, bank_idx, row) = self.map(addr);
-        let ch = &self.channels[ch_idx];
-        let bank = &ch.banks[bank_idx];
-        let start = now.max(bank.busy_until);
+        let bank = &self.channels[ch_idx].banks[bank_idx];
+        let start = bank.busy.free_at(now);
         let row_hit = bank.open_row == Some(row);
         let ready = if row_hit {
             start + self.t_cl
@@ -259,7 +251,10 @@ impl Dram {
             self.stats.row_hits += 1;
         }
         self.stats.bytes += LINE_SIZE;
-        ready.max(ch.bus_busy_until.min(ready)) + self.burst_cycles
+        // The burst never waits for the channel bus: a shadow read sees
+        // only the bank's wait (ROADMAP item 4 lists this and its other
+        // departures from `access`).
+        ready + self.burst_cycles
     }
 
     /// A buffered 64-byte write (eviction writeback, incremental-migration
@@ -268,14 +263,9 @@ impl Dram {
     /// writes do not add bank-timing latency to the demand path.
     pub fn write_buffered(&mut self, addr: Addr, now: Cycle) -> Cycle {
         let (ch_idx, _, _) = self.map(addr);
-        let ch = &mut self.channels[ch_idx];
-        let prev_bus = ch.bus_busy_until;
-        let start = now.max(ch.bus_busy_until);
-        let done = start + self.burst_cycles;
-        ch.bus_busy_until = done;
+        let done = self.channels[ch_idx].bus.reserve(now, self.burst_cycles) + self.burst_cycles;
         self.stats.accesses += 1;
         self.stats.bytes += LINE_SIZE;
-        checks::bus_monotonic(&self.channels[ch_idx], prev_bus, now, done);
         done
     }
 
@@ -284,16 +274,11 @@ impl Dram {
     /// Returns the completion cycle. Used for migration payload traffic.
     pub fn bulk_transfer(&mut self, addr: Addr, now: Cycle, bytes: u64) -> Cycle {
         let (ch_idx, _, _) = self.map(addr);
-        let ch = &mut self.channels[ch_idx];
-        let prev_bus = ch.bus_busy_until;
-        let lines = bytes.div_ceil(LINE_SIZE);
-        let start = now.max(ch.bus_busy_until);
-        let done = start + lines * self.burst_cycles;
-        ch.bus_busy_until = done;
+        let cycles = bytes.div_ceil(LINE_SIZE) * self.burst_cycles;
+        let start = self.channels[ch_idx].bus.reserve(now, cycles);
         self.stats.bytes += bytes;
         self.stats.queue_cycles += start - now;
-        checks::bus_monotonic(&self.channels[ch_idx], prev_bus, now, done);
-        done
+        start + cycles
     }
 
     /// Idealized unloaded access latency for a row miss (used by cost
@@ -312,80 +297,6 @@ impl Dram {
         self.stats
     }
 }
-
-/// Timing-invariant assertions: active under `debug_assertions` or the
-/// `check-invariants` feature, compiled to nothing otherwise so release
-/// figure runs stay bit-identical and assertion-free.
-mod checks {
-    use super::{Channel, Cycle};
-
-    /// Whether the invariant checks are active in this build.
-    pub const ENABLED: bool = cfg!(any(debug_assertions, feature = "check-invariants"));
-
-    /// Pre-access snapshot of the timestamps that must only move forward.
-    #[derive(Clone, Copy)]
-    pub struct Snapshot {
-        busy_until: Cycle,
-        last_activate: Cycle,
-        bus_busy_until: Cycle,
-    }
-
-    pub fn snapshot(ch: &Channel, bank: usize) -> Snapshot {
-        Snapshot {
-            busy_until: ch.banks[bank].busy_until,
-            last_activate: ch.banks[bank].last_activate,
-            bus_busy_until: ch.bus_busy_until,
-        }
-    }
-
-    /// Per-bank busy-until, last-activate, and channel-bus accumulators
-    /// must be monotonically non-decreasing, and completion must follow
-    /// issue.
-    pub fn bank_monotonic(ch: &Channel, bank: usize, prev: Snapshot, now: Cycle, done: Cycle) {
-        if !ENABLED {
-            return;
-        }
-        let b = &ch.banks[bank];
-        assert!(
-            b.busy_until >= prev.busy_until,
-            "bank busy_until regressed: {} -> {}",
-            prev.busy_until,
-            b.busy_until
-        );
-        assert!(
-            b.last_activate >= prev.last_activate,
-            "bank last_activate regressed: {} -> {}",
-            prev.last_activate,
-            b.last_activate
-        );
-        assert!(
-            ch.bus_busy_until >= prev.bus_busy_until,
-            "channel bus_busy_until regressed: {} -> {}",
-            prev.bus_busy_until,
-            ch.bus_busy_until
-        );
-        assert!(done > now, "completion {done} must follow issue {now}");
-    }
-
-    /// Channel-bus accumulator must be monotonic for buffered writes and
-    /// bulk transfers; completion must not precede issue.
-    pub fn bus_monotonic(ch: &Channel, prev_bus: Cycle, now: Cycle, done: Cycle) {
-        if !ENABLED {
-            return;
-        }
-        assert!(
-            ch.bus_busy_until >= prev_bus,
-            "channel bus_busy_until regressed: {} -> {}",
-            prev_bus,
-            ch.bus_busy_until
-        );
-        assert!(done >= now, "completion {done} precedes issue {now}");
-    }
-}
-
-/// Whether DRAM timing-invariant checks are compiled into this build
-/// (`debug_assertions` or the `check-invariants` feature).
-pub const INVARIANT_CHECKS_ENABLED: bool = checks::ENABLED;
 
 #[cfg(test)]
 mod tests {
@@ -489,14 +400,35 @@ mod tests {
         assert_eq!(mk(), mk());
     }
 
+    /// Characterizes the bus's order dependence: a demand read made after
+    /// a buffered write, but stamped before it, waits behind that write
+    /// although the bus is idle when the read arrives. ROADMAP item 1
+    /// flips this (the read should use the idle bus at once).
+    #[test]
+    fn later_made_earlier_stamped_read_waits_for_the_bus() {
+        let mut d = dram();
+        let burst = d.burst_cycles();
+        let written = d.write_buffered(Addr::new(0), 10_000);
+        assert_eq!(written, 10_000 + burst);
+        // Same channel, stamped long before the write; the bank is idle,
+        // so the read is ready after tRC + tRCD + tCL (the first activate
+        // waits for tRC).
+        let ready = 192 + 60 + 80;
+        let done = d.access(Addr::new(4 * 64), 0, false);
+        assert_eq!(done, written + burst);
+        assert_eq!(d.stats().bus_wait_cycles, done - ready);
+    }
+
     #[test]
     fn invariant_checks_active_in_test_builds() {
-        // Test profiles keep debug_assertions on, so the monotonicity
-        // checks must be live here even without the cargo feature.
-        #[allow(clippy::assertions_on_constants)]
-        {
-            assert!(INVARIANT_CHECKS_ENABLED);
-        }
+        // Test profiles keep debug_assertions on, so the monotonic check
+        // of the timelines behind every bank and bus must be live here
+        // even without the cargo feature.
+        let backward_hold = std::panic::catch_unwind(|| {
+            let mut t = Timeline::held_until(100);
+            t.hold_until(99);
+        });
+        assert!(backward_hold.is_err());
     }
 
     #[test]

@@ -26,6 +26,7 @@
 
 use crate::client::Client;
 use crate::json::Json;
+use pipm_types::hash::{splitmix64, SPLITMIX64_GAMMA};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -50,11 +51,9 @@ impl SplitMix64 {
 
     /// Next 64 uniform bits.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        let out = splitmix64(self.state);
+        self.state = self.state.wrapping_add(SPLITMIX64_GAMMA);
+        out
     }
 
     /// Uniform in `(0, 1]` — never 0, so `ln` below is always finite.

@@ -28,7 +28,9 @@
 //! byte-identical to the single-node response for the same job.
 
 use crate::proto::Job;
+use crate::server::ServerConfig;
 use pipm_core::fingerprint64;
+use pipm_types::hash::splitmix64;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -41,13 +43,10 @@ const VNODES: usize = 64;
 
 /// Ring position of a string. FNV-1a alone clusters badly on the short,
 /// similar strings rings hash (`host:port|vnode=i`, `job-v1|…`), so the
-/// fingerprint goes through a splitmix64-style finalizer to spread the
-/// points uniformly around the u64 circle.
+/// fingerprint goes through [`splitmix64`] to spread the points uniformly
+/// around the u64 circle.
 fn ring_hash(s: &str) -> u64 {
-    let mut z = fingerprint64(s).wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    splitmix64(fingerprint64(s))
 }
 
 /// A consistent-hash ring over node addresses.
@@ -90,37 +89,11 @@ impl HashRing {
     }
 }
 
-/// Forwarding/health knobs for a router.
-#[derive(Clone, Debug)]
-pub struct RouterConfig {
-    /// Worker node addresses (the ring).
-    pub nodes: Vec<String>,
-    /// Per-attempt connect timeout.
-    pub connect_timeout: Duration,
-    /// Per-attempt response read timeout (a forwarded cold job is a
-    /// real simulation; keep this generous).
-    pub forward_timeout: Duration,
-    /// Additional forward attempts against the owner after the first
-    /// fails, each preceded by a backoff sleep.
-    pub retries: u32,
-    /// Base backoff; attempt `n` sleeps `n * backoff`.
-    pub backoff: Duration,
-    /// Health probe period.
-    pub probe_interval: Duration,
-}
+/// Per-attempt connect timeout for a forward.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 
-impl Default for RouterConfig {
-    fn default() -> Self {
-        RouterConfig {
-            nodes: Vec::new(),
-            connect_timeout: Duration::from_secs(2),
-            forward_timeout: Duration::from_secs(600),
-            retries: 1,
-            backoff: Duration::from_millis(50),
-            probe_interval: Duration::from_millis(500),
-        }
-    }
-}
+/// Base retry backoff; forward attempt `n` first sleeps `n * BACKOFF`.
+const BACKOFF: Duration = Duration::from_millis(50);
 
 /// Router-side counters (all monotonic), surfaced through `metrics`.
 #[derive(Default)]
@@ -140,22 +113,32 @@ pub struct RouterCounters {
 /// The routing half of a `pipm-serve --route` daemon.
 pub struct RouterState {
     ring: HashRing,
-    cfg: RouterConfig,
+    /// Per-attempt response read timeout (a forwarded cold job is a real
+    /// simulation, so it is generous).
+    forward_timeout: Duration,
+    /// Forward attempts against the owner after the first fails.
+    retries: u32,
+    /// Health probe period.
+    probe_interval: Duration,
     healthy: Vec<AtomicBool>,
     /// Counters for `metrics`.
     pub counters: RouterCounters,
 }
 
 impl RouterState {
-    /// Builds the routing state; every node starts presumed healthy.
-    pub fn new(cfg: RouterConfig) -> Arc<RouterState> {
-        let ring = HashRing::new(cfg.nodes.clone());
+    /// Builds the routing state over the daemon's `route_nodes`, its
+    /// forward timeout and retries and its probe period; every node
+    /// starts presumed healthy.
+    pub fn new(cfg: &ServerConfig) -> Arc<RouterState> {
+        let ring = HashRing::new(cfg.route_nodes.clone());
         let healthy = (0..ring.nodes().len())
             .map(|_| AtomicBool::new(true))
             .collect();
         Arc::new(RouterState {
             ring,
-            cfg,
+            forward_timeout: cfg.forward_timeout,
+            retries: cfg.forward_retries,
+            probe_interval: cfg.probe_interval,
             healthy,
             counters: RouterCounters::default(),
         })
@@ -183,9 +166,9 @@ impl RouterState {
         if self.healthy[owner].load(Ordering::Relaxed) {
             let addr = &self.ring.nodes()[owner];
             let mut last = ForwardError::Transport;
-            for attempt in 0..=self.cfg.retries {
+            for attempt in 0..=self.retries {
                 if attempt > 0 {
-                    std::thread::sleep(self.cfg.backoff * attempt);
+                    std::thread::sleep(BACKOFF * attempt);
                     self.counters.retries.fetch_add(1, Ordering::Relaxed);
                 }
                 match self.forward(addr, job) {
@@ -233,13 +216,8 @@ impl RouterState {
             "submit"
         };
         let line = format!(r#"{{"cmd":"{cmd}","jobs":[{}]}}"#, job.raw);
-        let response = request_once(
-            addr,
-            &line,
-            self.cfg.connect_timeout,
-            self.cfg.forward_timeout,
-        )
-        .ok_or(ForwardError::Transport)?;
+        let response = request_once(addr, &line, CONNECT_TIMEOUT, self.forward_timeout)
+            .ok_or(ForwardError::Transport)?;
         classify_response(&response)
     }
 
@@ -257,7 +235,7 @@ impl RouterState {
         let state = Arc::clone(self);
         std::thread::spawn(move || {
             let nodes = state.ring.nodes().len().max(1) as u32;
-            let per_node = (state.cfg.probe_interval / nodes)
+            let per_node = (state.probe_interval / nodes)
                 .clamp(Duration::from_millis(50), Duration::from_millis(500));
             while !stop.load(Ordering::SeqCst) {
                 for (i, addr) in state.ring.nodes().iter().enumerate() {
@@ -269,7 +247,7 @@ impl RouterState {
                     state.healthy[i].store(alive, Ordering::Relaxed);
                 }
                 // Sleep in short slices so shutdown is prompt.
-                let deadline = Instant::now() + state.cfg.probe_interval;
+                let deadline = Instant::now() + state.probe_interval;
                 while Instant::now() < deadline && !stop.load(Ordering::SeqCst) {
                     std::thread::sleep(Duration::from_millis(20));
                 }
@@ -327,9 +305,13 @@ fn request_once(
     let stream = TcpStream::connect_timeout(&sock_addr, connect_timeout).ok()?;
     stream.set_nodelay(true).ok()?;
     stream.set_read_timeout(Some(read_timeout)).ok()?;
+    // Line and newline in one write (see `Client::request`): two writes
+    // under TCP_NODELAY can reach the node as two segments.
+    let mut framed = Vec::with_capacity(line.len() + 1);
+    framed.extend_from_slice(line.as_bytes());
+    framed.push(b'\n');
     let mut writer = stream.try_clone().ok()?;
-    writer.write_all(line.as_bytes()).ok()?;
-    writer.write_all(b"\n").ok()?;
+    writer.write_all(&framed).ok()?;
     writer.flush().ok()?;
     let mut response = String::new();
     let n = BufReader::new(stream).read_line(&mut response).ok()?;

@@ -39,7 +39,7 @@
 use crate::json::Json;
 use crate::proto::{self, encode_batch_raw, encode_result, kind, Job, ProtoError, Request};
 use crate::reactor::{self, JobSlot, LineOutcome, ReactorConfig, RequestSink, Waker};
-use crate::router::{RouterConfig, RouterState};
+use crate::router::RouterState;
 use pipm_core::{RunCache, Runner};
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener};
@@ -521,13 +521,7 @@ impl Server {
         let router = if cfg.route_nodes.is_empty() {
             None
         } else {
-            Some(RouterState::new(RouterConfig {
-                nodes: cfg.route_nodes.clone(),
-                forward_timeout: cfg.forward_timeout,
-                retries: cfg.forward_retries,
-                probe_interval: cfg.probe_interval,
-                ..RouterConfig::default()
-            }))
+            Some(RouterState::new(&cfg))
         };
         let cache_capacity = cfg.cache_capacity;
         let ckpt_cache_capacity = cfg.ckpt_cache_capacity;

@@ -49,5 +49,5 @@ pub use ids::{CoreId, HostId, HostSet};
 pub use scheme::SchemeKind;
 pub use stats::{AccessClass, CoreStats, FabricStats, MigrationStats, SystemStats};
 pub use table::{PageTable, MAX_DENSE_PAGES};
-pub use time::{cycles_from_ns, ns_from_cycles, Cycle, CPU_GHZ};
+pub use time::{cycles_from_ns, ns_from_cycles, Cycle, Timeline, CPU_GHZ};
 pub use topology::TopologySpec;

@@ -3,6 +3,7 @@
 use crate::spec::Spec;
 use crate::zipf::Zipfian;
 use pipm_cpu::{AccessStream, TraceRecord};
+use pipm_types::hash::splitmix64;
 use pipm_types::{Addr, CoreId, SystemConfig, LINE_SIZE};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -12,10 +13,7 @@ use rand::{Rng, SeedableRng};
 /// address space rather than packed together, as real hot vertices and hot
 /// database records are.
 fn scramble(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    splitmix64(x)
 }
 
 /// A deterministic per-core trace generator. See the crate docs for the
